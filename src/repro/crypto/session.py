@@ -198,6 +198,8 @@ class Session:
         """Unseal wire bytes; raises AuthenticationError on tampering and
         ReplayError on an authentic but sequence-reusing datagram."""
         if len(data) < _NONCE_WIRE_LEN + TAG_LEN:
+            # Too short to carry a tag: as unauthenticated as a bad one.
+            self.stats.auth_failures += 1
             raise CryptoError(f"datagram too short to unseal: {len(data)} bytes")
         # One memoryview keeps the header split and the cipher's block
         # walk copy-free; the 12-byte OCB nonce is built straight from the

@@ -3,10 +3,13 @@
 The paper's client and server are each "a single select() loop" (§2.3).
 This package is that loop, abstracted: a :class:`Reactor` provides timers
 (with cheap cancellation), I/O-readiness sources, and per-reactor metrics
-counters. Two implementations exist:
+counters. Both implementations keep their timers and flush hooks in one
+scheduler core, :class:`~repro.runtime.timerwheel.TimerQueue`, and differ
+only in the clock and in how they wait:
 
-* :class:`SimReactor` — wraps the deterministic discrete-event
-  :class:`~repro.simnet.eventloop.EventLoop`; every experiment runs here.
+* :class:`SimReactor` — shares the deterministic discrete-event
+  :class:`~repro.simnet.eventloop.EventLoop`'s queue; every experiment
+  runs here.
 * :class:`RealReactor` — a ``select()``-based loop over real file
   descriptors with the OS monotonic clock; the deployable apps run here.
 

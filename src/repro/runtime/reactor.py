@@ -1,10 +1,10 @@
 """Reactors: timers + I/O readiness + observability, simulated or real.
 
-A reactor is the runtime's notion of "the select() loop": it owns a clock,
-a timer heap with cheap cancellation (lazy deletion — ``cancel`` is O(1),
-the heap pop that skims dead entries is O(log n) amortized), optional
-file-descriptor readiness sources, and the session's observability
-substrate — a :class:`~repro.obs.MetricsRegistry` plus a
+A reactor is the runtime's notion of "the select() loop": a clock, the
+shared scheduler core (:class:`~repro.runtime.timerwheel.TimerQueue`:
+timers with O(1) lazy cancellation plus tick-boundary flush hooks),
+optional file-descriptor readiness sources, and the session's
+observability substrate — a :class:`~repro.obs.MetricsRegistry` plus a
 :class:`~repro.obs.SpanTracer` timed by this reactor's clock, so
 simulated-time and wall-time sessions produce comparable traces.
 
@@ -21,7 +21,6 @@ shell that assembles the session.
 
 from __future__ import annotations
 
-import heapq
 import select
 from abc import ABC, abstractmethod
 from typing import Callable
@@ -30,11 +29,7 @@ from repro.clock import Clock, RealClock
 from repro.errors import ReactorError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanTracer
-from repro.runtime.timerwheel import (
-    WHEEL_THRESHOLD_MS,
-    TimerWheel,
-    wheel_enabled_default,
-)
+from repro.runtime.timerwheel import TimerQueue
 from repro.simnet.eventloop import EventLoop
 
 Callback = Callable[[], None]
@@ -140,12 +135,22 @@ del _attr
 
 
 class TimerHandle:
-    """A scheduled callback; ``cancel()`` is always safe to call."""
+    """A scheduled callback; ``cancel()`` is always safe to call.
 
-    __slots__ = ("_canceller", "fired", "cancelled")
+    The handle is itself the entry its reactor queues: calling it marks
+    it fired, records the timer's lag and runs the callback.
+    """
 
-    def __init__(self, canceller: Callback) -> None:
-        self._canceller = canceller
+    __slots__ = ("_reactor", "_when", "_callback", "_token", "fired",
+                 "cancelled")
+
+    def __init__(
+        self, reactor: Reactor, when_ms: float, callback: Callback
+    ) -> None:
+        self._reactor = reactor
+        self._when = when_ms
+        self._callback = callback
+        self._token = -1
         self.fired = False
         self.cancelled = False
 
@@ -153,18 +158,27 @@ class TimerHandle:
     def active(self) -> bool:
         return not (self.fired or self.cancelled)
 
+    def __call__(self) -> None:
+        self.fired = True
+        reactor = self._reactor
+        reactor.metrics.note_timer_fired(max(0.0, reactor.now() - self._when))
+        self._callback()
+
     def cancel(self) -> None:
         """Withdraw the timer; a no-op once it has fired or been cancelled."""
         if not self.active:
             return
         self.cancelled = True
-        self._canceller()
+        self._reactor._cancel(self._token)
 
 
 class Reactor(ABC):
     """Timers + I/O sources + observability over some notion of time."""
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    def __init__(
+        self, timers: TimerQueue, registry: MetricsRegistry | None = None
+    ) -> None:
+        self._timers = timers
         #: The session-wide metrics registry; every layer's instruments
         #: aggregate here and render through ``registry.snapshot()``.
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -178,11 +192,10 @@ class Reactor(ABC):
     def add_flush_hook(self, hook: Callable[[], int]) -> None:
         """Register a per-tick wire-batch flush (rx before tx).
 
-        Sim reactors delegate to the event loop (flushes run before the
-        simulated clock advances); the real reactor runs hooks at the end
-        of every ``run_once`` iteration.
+        The sim loop flushes before its clock advances; the real reactor
+        flushes at the end of every ``run_once`` iteration.
         """
-        raise ReactorError(f"{type(self).__name__} has no flush hooks")
+        self._timers.add_flush_hook(hook)
 
     def register_core(self, role: str, label: str | None = None) -> str:
         """Register a session core; returns its instrument-name prefix.
@@ -206,9 +219,18 @@ class Reactor(ABC):
     def now(self) -> float:
         """Current time in milliseconds."""
 
-    @abstractmethod
     def call_at(self, when_ms: float, callback: Callback) -> TimerHandle:
         """Run ``callback`` at absolute time ``when_ms``."""
+        handle = TimerHandle(self, when_ms, callback)
+        handle._token = self._schedule(when_ms, handle)
+        return handle
+
+    def _schedule(self, when_ms: float, handle: TimerHandle) -> int:
+        return self._timers.push(when_ms, self.now(), handle)
+
+    def _cancel(self, token: int) -> None:
+        self._timers.cancel(token)
+        self.metrics.timers_cancelled += 1
 
     def call_later(self, delay_ms: float, callback: Callback) -> TimerHandle:
         """Run ``callback`` after ``delay_ms`` (clamped to be non-negative)."""
@@ -236,33 +258,16 @@ class SimReactor(Reactor):
     """
 
     def __init__(self, loop: EventLoop | None = None) -> None:
-        super().__init__()
         self.loop = loop if loop is not None else EventLoop()
+        super().__init__(self.loop.timers)
 
     def now(self) -> float:
         """Current simulated time in milliseconds."""
         return self.loop.now()
 
-    def add_flush_hook(self, hook: Callable[[], int]) -> None:
-        """Flush hooks ride the event loop's tick boundaries."""
-        self.loop.add_flush_hook(hook)
-
-    def call_at(self, when_ms: float, callback: Callback) -> TimerHandle:
-        """Schedule ``callback`` on the simulated event loop."""
-        token_box: list[int] = []
-        handle = TimerHandle(lambda: self._cancel(token_box[0]))
-
-        def fire() -> None:
-            handle.fired = True
-            self.metrics.note_timer_fired(max(0.0, self.now() - when_ms))
-            callback()
-
-        token_box.append(self.loop.schedule_at(when_ms, fire))
-        return handle
-
-    def _cancel(self, token: int) -> None:
-        self.loop.cancel(token)
-        self.metrics.timers_cancelled += 1
+    def _schedule(self, when_ms: float, handle: TimerHandle) -> int:
+        # Through the loop, so past deadlines still raise.
+        return self.loop.schedule_at(when_ms, handle)
 
     def run_for(self, duration_ms: float) -> None:
         """Advance simulated time by ``duration_ms``, firing due events."""
@@ -279,22 +284,15 @@ class RealReactor(Reactor):
     This is the paper's "single select() loop": each iteration sleeps
     until the earliest pending timer (capped by ``max_wait_ms``), wakes
     for readable descriptors, dispatches their callbacks, then fires every
-    due timer. Cancelled timers are skimmed off the heap lazily.
+    due timer, then runs the flush hooks.
     """
 
     def __init__(
-        self, clock: Clock | None = None, timer_wheel: bool | None = None
+        self, clock: Clock | None = None, timer_wheel: bool = True
     ) -> None:
-        super().__init__()
         self._clock = clock if clock is not None else RealClock()
-        self._heap: list[tuple[float, int, Callback, TimerHandle]] = []
-        if timer_wheel is None:
-            timer_wheel = wheel_enabled_default()
-        self._wheel: TimerWheel | None = TimerWheel() if timer_wheel else None
-        self._counter = 0
-        self._live: set[int] = set()
+        super().__init__(TimerQueue(wheel=timer_wheel))
         self._readers: dict[int, Callback] = {}
-        self._flush_hooks: list[Callable[[], int]] = []
         #: How far past the earliest timer deadline the loop woke this
         #: iteration: the live "is the select loop keeping up" signal the
         #: health monitor alerts on (a loaded loop wakes later and later).
@@ -306,56 +304,13 @@ class RealReactor(Reactor):
 
     # -- timers ---------------------------------------------------------
 
-    def call_at(self, when_ms: float, callback: Callback) -> TimerHandle:
-        """Schedule ``callback`` at absolute wall-clock time ``when_ms``.
-
-        Coarse timers (one wheel threshold or further out) take the O(1)
-        timer wheel; near-term ones go straight onto the precise heap.
-        """
-        token = self._counter
-        self._counter += 1
-        handle = TimerHandle(lambda: self._cancel(token))
-        entry = (when_ms, token, callback, handle)
-        if (
-            self._wheel is not None
-            and when_ms - self.now() >= WHEEL_THRESHOLD_MS
-        ):
-            self._wheel.add(entry, self.now())
-        else:
-            heapq.heappush(self._heap, entry)
-        self._live.add(token)
-        return handle
-
-    def _cancel(self, token: int) -> None:
-        self._live.discard(token)
-        self.metrics.timers_cancelled += 1
-
-    def _heap_top(self) -> float | None:
-        while self._heap and self._heap[0][1] not in self._live:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
-
-    def _heap_push(
-        self, entry: tuple[float, int, Callback, TimerHandle]
-    ) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def _next_deadline(self) -> float | None:
-        wheel = self._wheel
-        if wheel is not None and wheel:
-            wheel.drain_into(self._heap_push, self._heap_top)
-        return self._heap_top()
-
     def _fire_due(self) -> None:
+        timers = self._timers
         while True:
-            deadline = self._next_deadline()
+            deadline = timers.peek()
             if deadline is None or deadline > self.now():
                 return
-            when, token, callback, handle = heapq.heappop(self._heap)
-            self._live.discard(token)
-            handle.fired = True
-            self.metrics.note_timer_fired(max(0.0, self.now() - when))
-            callback()
+            timers.pop()[1]()
 
     # -- I/O sources ----------------------------------------------------
 
@@ -367,15 +322,11 @@ class RealReactor(Reactor):
         """Stop watching ``fd`` (no-op if it was never registered)."""
         self._readers.pop(fd, None)
 
-    def add_flush_hook(self, hook: Callable[[], int]) -> None:
-        """Run ``hook`` at the end of every ``run_once`` iteration."""
-        self._flush_hooks.append(hook)
-
     # -- loop -----------------------------------------------------------
 
     def run_once(self, max_wait_ms: float = 20.0) -> None:
         """One select()-loop iteration: sleep, dispatch I/O, fire timers."""
-        deadline = self._next_deadline()
+        deadline = self._timers.peek()
         wait = max_wait_ms
         if deadline is not None:
             wait = min(wait, deadline - self.now())
@@ -401,15 +352,9 @@ class RealReactor(Reactor):
         else:
             self._tick_lag.set(0.0)
         self._fire_due()
-        if self._flush_hooks:
-            # Wire-batch drain: everything queued by this iteration's I/O
-            # callbacks and timers goes out in one crypto+syscall burst.
-            for _ in range(8):
-                work = 0
-                for hook in self._flush_hooks:
-                    work += hook()
-                if not work:
-                    break
+        # Wire-batch drain: everything queued by this iteration's I/O
+        # callbacks and timers goes out in one crypto+syscall burst.
+        self._timers.flush()
 
     def run_for(self, duration_ms: float, max_wait_ms: float = 20.0) -> None:
         """Run select()-loop iterations for ``duration_ms`` of wall time."""

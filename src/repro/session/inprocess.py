@@ -272,7 +272,7 @@ class InProcessDaemon:
         flight_capacity: int = 8192,
         flight_budget: int | None = None,
         wire_batch: bool = True,
-        timer_wheel: bool | None = None,
+        timer_wheel: bool = True,
         causal: bool = True,
     ) -> None:
         # Deferred import: repro.daemon.manager imports this package for

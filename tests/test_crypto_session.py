@@ -10,7 +10,13 @@ from repro.crypto.keys import (
     Base64Key,
     Nonce,
 )
-from repro.crypto.session import MAX_PAYLOAD_LEN, Message, NullSession, Session
+from repro.crypto.session import (
+    MAX_PAYLOAD_LEN,
+    Message,
+    NullSession,
+    Session,
+    unseal_many,
+)
 from repro.errors import AuthenticationError, CryptoError
 
 
@@ -171,11 +177,28 @@ class TestCryptoStats:
         assert session.stats.auth_failures == 1
         assert session.stats.datagrams_unsealed == 0
 
-    def test_short_datagram_is_not_an_auth_failure(self):
+    def test_short_datagram_counts_as_auth_failure(self):
+        """Too short to carry a tag: rejected *and* counted, scalar and
+        batched (unseal_many hands short bodies to ``decrypt``)."""
         session = Session(Base64Key.new())
         with pytest.raises(CryptoError):
-            session.decrypt(b"tiny")
-        assert session.stats.auth_failures == 0
+            session.decrypt(b"x" * 10)
+        assert session.stats.auth_failures == 1
+
+        key = Base64Key.new()
+        server, client = Session(key), Session(key)
+        good = [
+            client.encrypt(Message(Nonce(DIRECTION_TO_SERVER, i), b"ok"))
+            for i in range(8)
+        ]
+        results = unseal_many(
+            [(server, raw) for raw in good]
+            + [(server, b"x" * 10), (server, memoryview(b"tiny"))]
+        )
+        assert all(isinstance(m, Message) for m in results[:8])
+        assert all(isinstance(e, CryptoError) for e in results[8:])
+        assert server.stats.datagrams_unsealed == 8
+        assert server.stats.auth_failures == 2
 
     def test_null_session_counts_too(self):
         session = NullSession()

@@ -127,6 +127,36 @@ class TestMuxRouting:
         mux.dispatch(raw, ("10.0.0.1", 4242))
 
 
+class TestRejectAccounting:
+    def test_short_v2_body_auth_drops_match_counter(self):
+        """A body too short to unseal, sent to a live conn id, leaves one
+        flight ``auth`` drop and one counted auth failure (batched rx)."""
+        from repro.network.packet import encode_conn_id
+        from repro.session.inprocess import InProcessDaemon
+        from repro.simnet import LinkConfig
+
+        daemon = InProcessDaemon(
+            LinkConfig(delay_ms=10),
+            LinkConfig(delay_ms=10),
+            sessions=2,
+            width=20,
+            height=4,
+            seed=3,
+        )
+        daemon.connect(warmup_ms=500)
+        cid = daemon.conn_ids[0]
+        frame = encode_conn_id(cid)
+        daemon.mux.dispatch(frame + b"x" * 10, "attacker")  # short
+        daemon.mux.dispatch(frame + bytes(40), "attacker")  # forged
+        daemon.run_for(10.0)
+        auth_drops = [
+            e for e in daemon.server_flights[cid].events("drop")
+            if e["reason"] == "auth"
+        ]
+        stats = daemon.record(cid).session.stats
+        assert len(auth_drops) == stats.auth_failures == 2
+
+
 class TestLegacyRouting:
     """v1 clients (no mux header): address learning and key probing."""
 

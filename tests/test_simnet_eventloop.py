@@ -118,8 +118,8 @@ class TestCancellationBookkeeping:
             loop.run_for(2.0)
             loop.cancel(token)  # always after the fire
         assert loop.pending == 0
-        assert len(loop._live) == 0
-        assert len(loop._queue) == 0
+        assert len(loop.timers._live) == 0
+        assert len(loop.timers._heap) == 0
 
 
 class TestRunModes:

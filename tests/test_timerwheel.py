@@ -4,7 +4,10 @@ The wheel's contract is that it is *invisible*: an :class:`EventLoop` or
 :class:`RealReactor` with the wheel enabled must fire exactly the same
 callbacks in exactly the same order at exactly the same times as a
 heap-only build. The randomized parity tests here drive both builds with
-identical 10k-operation scripts and compare the full fire logs.
+identical 10k-operation scripts and compare the full fire logs; the same
+script also runs on :class:`SimReactor` and on a :class:`RealReactor`
+over a simulated clock, which share one scheduler core and so must fire
+identically too.
 """
 
 import random
@@ -13,7 +16,7 @@ import pytest
 
 from repro.clock import SimulatedClock
 from repro.errors import SimulationError
-from repro.runtime.reactor import RealReactor
+from repro.runtime.reactor import RealReactor, SimReactor
 from repro.runtime.timerwheel import (
     WHEEL_SLOT_MS,
     WHEEL_SPAN,
@@ -21,6 +24,39 @@ from repro.runtime.timerwheel import (
     TimerWheel,
 )
 from repro.simnet.eventloop import EventLoop
+
+
+def random_script(seed, delays, steps=10_000):
+    """``steps`` random schedule/cancel/advance ops.
+
+    ``delays(rng)`` returns the candidate delays for one schedule op;
+    cancels name an earlier op index (possibly not a schedule, possibly
+    an already-fired timer).
+    """
+    rng = random.Random(seed)
+    script = []
+    for step in range(steps):
+        op = rng.random()
+        if op < 0.70:
+            script.append(("schedule", rng.choice(delays(rng))))
+        elif op < 0.85:
+            script.append(("cancel", rng.randrange(step + 1)))
+        else:
+            script.append(("advance", rng.uniform(0.0, 2_000.0)))
+    return script
+
+
+def loop_delays(rng):
+    # Straddles the threshold and both wheel levels, including exact
+    # boundary values.
+    return [
+        0.0,
+        rng.uniform(0.0, WHEEL_THRESHOLD_MS),
+        WHEEL_THRESHOLD_MS,
+        rng.uniform(WHEEL_THRESHOLD_MS, 1_000.0),
+        WHEEL_SLOT_MS * WHEEL_SPAN,
+        rng.uniform(6_400.0, 600_000.0),
+    ]
 
 
 class TestTimerWheelUnit:
@@ -191,28 +227,7 @@ class TestEventLoopWheel:
     def test_randomized_parity_with_heap_only_loop(self):
         """10k random schedule/cancel ops: wheel and heap-only loops
         produce byte-identical fire logs."""
-        rng = random.Random(1234)
-        script = []
-        for step in range(10_000):
-            op = rng.random()
-            if op < 0.70:
-                # Delay distribution straddles the threshold and both
-                # wheel levels, including exact boundary values.
-                delay = rng.choice(
-                    [
-                        0.0,
-                        rng.uniform(0.0, WHEEL_THRESHOLD_MS),
-                        WHEEL_THRESHOLD_MS,
-                        rng.uniform(WHEEL_THRESHOLD_MS, 1_000.0),
-                        WHEEL_SLOT_MS * WHEEL_SPAN,
-                        rng.uniform(6_400.0, 600_000.0),
-                    ]
-                )
-                script.append(("schedule", delay))
-            elif op < 0.85:
-                script.append(("cancel", rng.randrange(step + 1)))
-            else:
-                script.append(("advance", rng.uniform(0.0, 2_000.0)))
+        script = random_script(1234, loop_delays)
 
         def run(wheel):
             loop = EventLoop(timer_wheel=wheel)
@@ -274,28 +289,16 @@ class TestRealReactorWheel:
         a = reactor.call_later(200.0, lambda: None)
         reactor.call_later(400.0, lambda: None)
         a.cancel()
-        assert reactor._next_deadline() == pytest.approx(400.0)
+        assert reactor._timers.peek() == pytest.approx(400.0)
 
     def test_randomized_parity_with_heap_only_reactor(self):
-        rng = random.Random(99)
-        script = []
-        for step in range(10_000):
-            op = rng.random()
-            if op < 0.70:
-                delay = rng.choice(
-                    [
-                        0.0,
-                        rng.uniform(0.0, WHEEL_THRESHOLD_MS),
-                        WHEEL_THRESHOLD_MS,
-                        rng.uniform(WHEEL_THRESHOLD_MS, 10_000.0),
-                        rng.uniform(6_400.0, 300_000.0),
-                    ]
-                )
-                script.append(("schedule", delay))
-            elif op < 0.85:
-                script.append(("cancel", rng.randrange(step + 1)))
-            else:
-                script.append(("advance", rng.uniform(0.0, 2_000.0)))
+        script = random_script(99, lambda rng: [
+            0.0,
+            rng.uniform(0.0, WHEEL_THRESHOLD_MS),
+            WHEEL_THRESHOLD_MS,
+            rng.uniform(WHEEL_THRESHOLD_MS, 10_000.0),
+            rng.uniform(6_400.0, 300_000.0),
+        ])
 
         def run(wheel):
             clock, reactor = self.make(wheel)
@@ -315,3 +318,91 @@ class TestRealReactorWheel:
             return fired
 
         assert run(wheel=True) == run(wheel=False)
+
+
+class TestCrossReactorParity:
+    """One script, every scheduler front end: same fires, same counters.
+
+    The real reactor runs on a simulated clock that steps to each
+    deadline in turn, so its fire times are comparable with the sim
+    loop's rather than quantized to the script's advance steps.
+    """
+
+    @staticmethod
+    def run_loop(script, wheel):
+        loop = EventLoop(timer_wheel=wheel)
+        fired = []
+        tokens = {}
+        for i, (op, arg) in enumerate(script):
+            if op == "schedule":
+                tokens[i] = loop.schedule(
+                    arg, lambda i=i: fired.append((loop.now(), i))
+                )
+            elif op == "cancel":
+                if arg in tokens:
+                    loop.cancel(tokens[arg])
+            else:
+                loop.run_for(arg)
+        loop.run_for(700_000.0)
+        return fired, None
+
+    @staticmethod
+    def run_reactor(script, reactor, advance):
+        fired = []
+        handles = {}
+        for i, (op, arg) in enumerate(script):
+            if op == "schedule":
+                handles[i] = reactor.call_later(
+                    arg, lambda i=i: fired.append((reactor.now(), i))
+                )
+            elif op == "cancel":
+                if arg in handles:
+                    handles[arg].cancel()
+            else:
+                advance(arg)
+        advance(700_000.0)
+        counts = (
+            reactor.metrics.timers_fired,
+            reactor.metrics.timers_cancelled,
+        )
+        return fired, counts
+
+    def run_sim(self, script, wheel):
+        reactor = SimReactor(EventLoop(timer_wheel=wheel))
+        return self.run_reactor(script, reactor, reactor.run_for)
+
+    def run_real(self, script, wheel):
+        clock = SimulatedClock()
+        reactor = RealReactor(clock=clock, timer_wheel=wheel)
+
+        def advance(duration_ms):
+            target = clock.now() + duration_ms
+            while True:
+                deadline = reactor._timers.peek()
+                if deadline is None or deadline > target:
+                    break
+                clock.advance_to(deadline)
+                reactor._fire_due()
+                # One pass fires everything due at this instant.
+                after = reactor._timers.peek()
+                assert after is None or after > deadline
+            clock.advance_to(target)
+
+        return self.run_reactor(script, reactor, advance)
+
+    def test_sim_and_real_reactors_fire_identically(self):
+        script = random_script(4321, loop_delays)
+        reference, _ = self.run_loop(script, wheel=True)
+        assert reference  # the script fires a substantial log
+        counts = set()
+        for wheel in (True, False):
+            for run in (self.run_loop, self.run_sim, self.run_real):
+                fired, count = run(script, wheel)
+                assert fired == reference, (run.__name__, wheel)
+                if count is not None:
+                    counts.add(count)
+        # Both reactors, either mode: the same fires and live cancels.
+        assert len(counts) == 1
+        ((timers_fired, timers_cancelled),) = counts
+        assert timers_fired == len(reference)
+        assert timers_cancelled > 0

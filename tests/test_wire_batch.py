@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.clock import SimulatedClock
 from repro.crypto.keys import DIRECTION_TO_SERVER, Base64Key, Nonce
 from repro.crypto.session import (
     Message,
@@ -23,6 +24,7 @@ from repro.network.batch import RxBatcher, SyscallCounter, WireBatcher
 from repro.network.interface import DatagramEndpoint
 from repro.network.packet import TIMESTAMP_NONE, Packet, encode_conn_id
 from repro.obs.flight import FlightRecorder
+from repro.runtime.reactor import RealReactor
 from repro.simnet.eventloop import EventLoop
 
 
@@ -439,13 +441,47 @@ class TestSysBatch:
 
 # ----------------------------------------------------------------------
 # Flush hooks: batched work drains before simulated time moves past the
-# tick that queued it — that is the whole byte-identity argument.
+# tick that queued it — that is the whole byte-identity argument. Both
+# reactors share one flush loop; the real one is driven on a simulated
+# clock through its own run_once iterations.
 # ----------------------------------------------------------------------
 
 
+class RealLoop:
+    """EventLoop-shaped driver for a RealReactor on a simulated clock."""
+
+    def __init__(self):
+        self.clock = SimulatedClock()
+        self.reactor = RealReactor(clock=self.clock)
+
+    def now(self):
+        return self.clock.now()
+
+    def add_flush_hook(self, hook):
+        self.reactor.add_flush_hook(hook)
+
+    def schedule_at(self, when_ms, callback):
+        self.reactor.call_at(when_ms, callback)
+
+    def run_until(self, when_ms):
+        # One run_once per distinct deadline (select never sleeps: the
+        # wait is capped at 0), then a last iteration at ``when_ms``.
+        timers = self.reactor._timers
+        while True:
+            deadline = timers.peek()
+            if deadline is None or deadline > when_ms:
+                break
+            self.clock.advance_to(deadline)
+            self.reactor.run_once(0.0)
+        self.clock.advance_to(when_ms)
+        self.reactor.run_once(0.0)
+
+
 class TestEventLoopFlushHooks:
+    make_loop = EventLoop
+
     def test_hooks_run_before_clock_advances(self):
-        loop = EventLoop()
+        loop = self.make_loop()
         pending = []
         flushed_at = []
 
@@ -468,7 +504,7 @@ class TestEventLoopFlushHooks:
         assert loop.now() == 100.0
 
     def test_hooks_run_in_registration_order(self):
-        loop = EventLoop()
+        loop = self.make_loop()
         calls = []
         work = [2]
 
@@ -492,7 +528,7 @@ class TestEventLoopFlushHooks:
         assert calls[:6] == ["rx", "tx", "rx", "tx", "rx", "tx"]
 
     def test_flush_can_schedule_into_the_same_tick(self):
-        loop = EventLoop()
+        loop = self.make_loop()
         pending = []
         times = []
 
@@ -508,6 +544,32 @@ class TestEventLoopFlushHooks:
         loop.run_until(50.0)
         # A delivery queued by the flush at t=5 still happens at t=5.
         assert times == [5.0]
+
+    def test_flush_rounds_are_bounded(self):
+        loop = self.make_loop()
+        armed = []
+        rounds = []
+        seen = []
+
+        def busy():
+            if not armed:
+                return 0
+            rounds.append(loop.now())
+            return 1  # never quiesces while armed
+
+        loop.add_flush_hook(busy)
+        loop.schedule_at(1.0, lambda: armed.append(True))
+        loop.schedule_at(2.0, lambda: (armed.clear(), seen.extend(rounds)))
+        loop.run_until(3.0)
+        # One tick boundary between the two timers: a single flush pass,
+        # cut off after eight rounds of work.
+        assert seen == [1.0] * 8
+
+
+class TestRealReactorFlushHooks(TestEventLoopFlushHooks):
+    """The same contract on the select() reactor's run_once."""
+
+    make_loop = RealLoop
 
 
 # ----------------------------------------------------------------------
