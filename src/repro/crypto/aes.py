@@ -19,9 +19,8 @@ Two kernels share the same key schedule:
   its unrolled source is exec-compiled once per process and specialized
   to each key by rebinding the round keys and tables as default-argument
   locals (see ``_kernel_codes`` / ``_bind_int_kernels``), which is what
-  makes the OCB datagram path
-  (:mod:`repro.crypto.ocb`) fast for small payloads (large ones go
-  through the vectorised kernel in :mod:`repro.crypto.batch` instead).
+  keeps the pure-Python OCB datagram path (:mod:`repro.crypto.ocb`)
+  usable where the native backend (:mod:`repro.crypto.backend`) is not.
 
 The 128-bit tables are derived lazily on first use (~0.5 MB per
 direction, a few milliseconds) and are shared by every key: round keys

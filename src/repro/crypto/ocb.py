@@ -6,16 +6,18 @@ key" (§2.2). This module implements the OCB3 variant standardized in RFC
 7253 with a 128-bit tag, validated against the RFC's published test vectors
 in the test suite.
 
+Sessions seal through :func:`repro.crypto.backend.cipher_for`, which
+prefers the native ``AESOCB3`` backend when ``cryptography`` provides a
+working one; this module is the reference oracle and the fallback.
+
 Performance shape (this sits on the per-datagram hot path):
 
 * Offsets come from a per-key, lazily-grown prefix-XOR table:
   ``Offset_i = Offset_nonce ^ cumulative[i]`` with ``cumulative[i] =
   cumulative[i-1] ^ L[ntz(i)]``, so the per-block ``ntz``/XOR chain from
   the RFC's definition is computed once per key, not once per datagram.
-* All full blocks of a datagram are whitened and ciphered in one batch —
-  through the numpy kernel (:mod:`repro.crypto.batch`) when available and
-  the datagram is large enough to amortize dispatch, otherwise through
-  the integer-domain kernel (``AES128.encrypt_blocks_int``). Output is
+* All full blocks of a datagram are whitened and ciphered in one call
+  of the integer-domain kernel (``AES128.encrypt_blocks_int``). Output is
   assembled as a list of 16-byte chunks and one ``b"".join``.
 * The empty associated-data case (every SSP datagram) skips the AD hash
   entirely, and the nonce-dependent Ktop block is served from a small
@@ -27,20 +29,12 @@ from __future__ import annotations
 import hmac
 from collections import OrderedDict
 
-from repro.crypto import batch as _batch
 from repro.crypto.aes import AES128, BLOCK_SIZE
 from repro.errors import AuthenticationError, CryptoError
 
 TAG_LEN = 16
 
 _MASK128 = (1 << 128) - 1
-
-#: Minimum number of full blocks for which the numpy batch kernel beats the
-#: integer kernel; below this its per-call dispatch overhead dominates.
-#: Sealing batches body+pad+tag in one kernel call so it amortizes sooner
-#: than unsealing (whose tag check is a dependent second pass).
-_BATCH_MIN_BLOCKS_SEAL = 6
-_BATCH_MIN_BLOCKS_UNSEAL = 8
 
 #: Ktop LRU capacity. Nonces sharing the top 122 bits share a Ktop, so a
 #: sender's monotonically increasing sequence numbers hit one entry for 64
@@ -67,15 +61,14 @@ def _ntz(i: int) -> int:
 class _Schedule:
     """Everything derivable from the key alone, shared across instances.
 
-    AES round keys, the OCB L-constants, the grown offset prefix table,
-    and the per-key numpy kernel are pure functions of the key, and one
-    session key seals every datagram of a connection, so ciphers
-    constructed for the same key (per-direction endpoints, reconnects,
-    tests) share one schedule instead of recomputing it.
+    AES round keys, the OCB L-constants and the grown offset prefix table
+    are pure functions of the key, and one session key seals every
+    datagram of a connection, so ciphers constructed for the same key
+    (per-direction endpoints, reconnects, tests) share one schedule
+    instead of recomputing it.
     """
 
-    __slots__ = ("aes", "l_star", "l_dollar", "l_table", "cumulative", "batch",
-                 "_np_cum")
+    __slots__ = ("aes", "l_star", "l_dollar", "l_table", "cumulative")
 
     def __init__(self, key: bytes) -> None:
         self.aes = AES128(key)
@@ -90,8 +83,6 @@ class _Schedule:
         #: L[ntz(i)], so Offset_i = Offset_nonce ^ cumulative[i]. Grown on
         #: demand to the largest message seen under this key.
         self.cumulative: list[int] = [0]
-        self.batch = _batch.BatchAES(self.aes) if _batch.available() else None
-        self._np_cum = None  # uint8 mirror of cumulative[1:], rebuilt on growth
 
     def grow(self, blocks: int) -> list[int]:
         """Return the cumulative table, extended to cover ``blocks``."""
@@ -100,17 +91,7 @@ class _Schedule:
             l_table = self.l_table
             while len(cum) <= blocks:
                 cum.append(cum[-1] ^ l_table[_ntz(len(cum))])
-            self._np_cum = None
         return cum
-
-    def np_offsets(self, blocks: int):
-        """(blocks, 16) uint8 view of cumulative[1..blocks]."""
-        cum = self.grow(blocks)
-        np_cum = self._np_cum
-        if np_cum is None:
-            raw = b"".join(c.to_bytes(16, "big") for c in cum[1:])
-            np_cum = self._np_cum = _batch.as_block_array(raw)
-        return np_cum[:blocks]
 
 
 _SCHEDULE_CACHE: OrderedDict[bytes, _Schedule] = OrderedDict()
@@ -194,111 +175,10 @@ class OCBCipher:
             total ^= enc
         return total
 
-    def _encrypt_batch(
-        self, offset0: int, offset_m: int, data, m: int, tail: bytes,
-        associated_data: bytes,
-    ) -> bytes:
-        """Seal via the numpy kernel: body, pad, and tag in one batch.
-
-        The pad block (``E(Offset_*)``) and the tag block depend only on
-        the plaintext checksum and offsets, both known up front, so they
-        ride along as extra rows of the same kernel invocation.
-        """
-        np = _batch.np()
-        sched = self._schedule
-        offsets = sched.np_offsets(m) ^ np.frombuffer(
-            offset0.to_bytes(16, "big"), dtype=np.uint8
-        )
-        blocks = np.frombuffer(data[: m * BLOCK_SIZE], dtype=np.uint8).reshape(m, 16)
-        extra = 2 if tail else 1
-        x = np.empty((m + extra, 16), dtype=np.uint8)
-        np.bitwise_xor(blocks, offsets, out=x[:m])
-        checksum = int.from_bytes(
-            np.bitwise_xor.reduce(blocks, axis=0).tobytes(), "big"
-        )
-        offset = offset_m
-        if tail:
-            offset ^= self._l_star
-            x[m] = np.frombuffer(offset.to_bytes(16, "big"), dtype=np.uint8)
-            checksum ^= int.from_bytes(
-                tail + b"\x80" + bytes(BLOCK_SIZE - len(tail) - 1), "big"
-            )
-        x[m + extra - 1] = np.frombuffer(
-            (checksum ^ offset ^ self._l_dollar).to_bytes(16, "big"), dtype=np.uint8
-        )
-        y = sched.batch.encrypt(x)
-        parts = [(y[:m] ^ offsets).tobytes()]
-        if tail:
-            pad = y[m].tobytes()
-            parts.append(bytes(p ^ k for p, k in zip(tail, pad)))
-        tag = int.from_bytes(y[m + extra - 1].tobytes(), "big")
-        if associated_data:
-            tag ^= self._hash_ad(associated_data)
-        parts.append(tag.to_bytes(16, "big"))
-        return b"".join(parts)
-
-    def _decrypt_batch_body(self, offset0: int, body, m: int):
-        """Unwhiten/decrypt ``m`` full blocks via the numpy kernel.
-
-        Returns ``(plaintext_bytes, plaintext_checksum)``. Unlike sealing,
-        the tag block cannot ride along: it needs the checksum of the
-        plaintext this call produces.
-        """
-        np = _batch.np()
-        sched = self._schedule
-        offsets = sched.np_offsets(m) ^ np.frombuffer(
-            offset0.to_bytes(16, "big"), dtype=np.uint8
-        )
-        blocks = np.frombuffer(body[: m * BLOCK_SIZE], dtype=np.uint8).reshape(m, 16)
-        plain = sched.batch.decrypt(blocks ^ offsets) ^ offsets
-        checksum = int.from_bytes(
-            np.bitwise_xor.reduce(plain, axis=0).tobytes(), "big"
-        )
-        return plain.tobytes(), checksum
-
     def encrypt(
         self, nonce: bytes, plaintext: bytes, associated_data: bytes = b""
     ) -> bytes:
         """Return ciphertext || 16-byte tag."""
-        sched = self._schedule
-        if (
-            sched.batch is not None
-            and len(plaintext) >= _BATCH_MIN_BLOCKS_SEAL * BLOCK_SIZE
-        ):
-            offset0 = self._initial_offset(nonce)
-            data = memoryview(plaintext)
-            m, tail_len = divmod(len(data), BLOCK_SIZE)
-            cum = sched.grow(m)
-            tail = bytes(data[m * BLOCK_SIZE :]) if tail_len else b""
-            return self._encrypt_batch(
-                offset0, offset0 ^ cum[m], data, m, tail, associated_data
-            )
-        xs, ctx = self.seal_prepare(nonce, plaintext)
-        return self.seal_finish(
-            ctx, self._aes.encrypt_blocks_int(xs), associated_data
-        )
-
-    # ------------------------------------------------------------------
-    # Split seal/unseal phases (cross-datagram batching)
-    #
-    # The wire batcher seals/unseals many datagrams — under *different*
-    # keys — per numpy kernel call. These phases expose the integer path
-    # with its single kernel invocation factored out, so a caller can
-    # collect every datagram's kernel inputs, run them through the
-    # grouped multi-key kernel (:func:`repro.crypto.batch
-    # .encrypt_ints_grouped`), and hand each result back. Output is
-    # byte-identical to :meth:`encrypt`/:meth:`decrypt` by construction:
-    # ``encrypt`` itself runs through seal_prepare/seal_finish.
-    # ------------------------------------------------------------------
-
-    def seal_prepare(self, nonce: bytes, plaintext) -> tuple[list[int], tuple]:
-        """First half of sealing: returns ``(kernel_inputs, ctx)``.
-
-        ``kernel_inputs`` are 128-bit ints to AES-*encrypt* (whitened body
-        blocks, optional pad input, tag input). Accepts ``bytes`` or a
-        ``memoryview``; everything the later phase needs is materialized
-        here, so the caller's buffer may be reused immediately.
-        """
         offset0 = self._initial_offset(nonce)
         data = memoryview(plaintext)
         m, tail_len = divmod(len(data), BLOCK_SIZE)
@@ -327,13 +207,7 @@ class OCBCipher:
                 tail + b"\x80" + bytes(BLOCK_SIZE - tail_len - 1), "big"
             )
         xs.append(checksum ^ offset ^ self._l_dollar)
-        return xs, (offs, m, tail)
-
-    def seal_finish(
-        self, ctx: tuple, enc: list[int], associated_data: bytes = b""
-    ) -> bytes:
-        """Assemble ciphertext || tag from the encrypted kernel outputs."""
-        offs, m, tail = ctx
+        enc = self._aes.encrypt_blocks_int(xs)
         parts = [(c ^ o).to_bytes(16, "big") for c, o in zip(enc, offs)]
         if tail:
             pad = enc[m].to_bytes(16, "big")
@@ -342,84 +216,6 @@ class OCBCipher:
         if associated_data:
             tag ^= self._hash_ad(associated_data)
         parts.append(tag.to_bytes(16, "big"))
-        return b"".join(parts)
-
-    def unseal_prepare(self, nonce: bytes, ciphertext):
-        """First unseal phase: returns ``(dec_inputs, pad_input, ctx)``.
-
-        ``dec_inputs`` are whitened body blocks to AES-*decrypt*;
-        ``pad_input`` is one int to AES-*encrypt* (or None when the
-        ciphertext has no partial tail block). Unlike sealing, the tag
-        check needs the plaintext checksum, so it is a dependent later
-        phase (:meth:`unseal_mid` → :meth:`unseal_finish`). Raises
-        :class:`AuthenticationError` on an undersized ciphertext. Accepts
-        ``bytes`` or a ``memoryview``; the buffer may be reused after
-        this returns.
-        """
-        if len(ciphertext) < TAG_LEN:
-            raise AuthenticationError("ciphertext shorter than the tag")
-        data = memoryview(ciphertext)
-        n = len(data) - TAG_LEN
-        offset0 = self._initial_offset(nonce)
-        m, tail_len = divmod(n, BLOCK_SIZE)
-        cum = self._schedule.grow(m)
-        from_bytes = int.from_bytes
-        xs: list[int] = []
-        offs: list[int] = []
-        pos = 0
-        for i in range(1, m + 1):
-            off = offset0 ^ cum[i]
-            xs.append(from_bytes(data[pos : pos + 16], "big") ^ off)
-            offs.append(off)
-            pos += 16
-        offset = offset0 ^ cum[m]
-        tail = b""
-        pad_input: int | None = None
-        if tail_len:
-            tail = bytes(data[m * BLOCK_SIZE : n])
-            offset ^= self._l_star
-            pad_input = offset
-        return xs, pad_input, (offs, offset, tail, tail_len, bytes(data[n:]))
-
-    def unseal_mid(
-        self, ctx: tuple, dec: list[int], pad: int | None
-    ) -> tuple[int, list[bytes]]:
-        """Combine decrypted body and pad; returns ``(tag_input, parts)``.
-
-        ``tag_input`` is one more int to AES-*encrypt*; ``parts`` are the
-        candidate plaintext chunks (released only by a verified
-        :meth:`unseal_finish`).
-        """
-        offs, offset, tail, tail_len, _tag = ctx
-        parts: list[bytes] = []
-        checksum = 0
-        append = parts.append
-        for d, off in zip(dec, offs):
-            plain = d ^ off
-            checksum ^= plain
-            append(plain.to_bytes(16, "big"))
-        if tail_len:
-            pad_bytes = pad.to_bytes(16, "big")
-            plain_tail = bytes(c ^ k for c, k in zip(tail, pad_bytes))
-            append(plain_tail)
-            checksum ^= int.from_bytes(
-                plain_tail + b"\x80" + bytes(BLOCK_SIZE - tail_len - 1), "big"
-            )
-        return checksum ^ offset ^ self._l_dollar, parts
-
-    def unseal_finish(
-        self,
-        ctx: tuple,
-        tag_enc: int,
-        parts: list[bytes],
-        associated_data: bytes = b"",
-    ) -> bytes:
-        """Verify the tag and release the plaintext."""
-        expected = tag_enc
-        if associated_data:
-            expected ^= self._hash_ad(associated_data)
-        if not hmac.compare_digest(expected.to_bytes(16, "big"), ctx[4]):
-            raise AuthenticationError("OCB tag verification failed")
         return b"".join(parts)
 
     def decrypt(
@@ -442,26 +238,22 @@ class OCBCipher:
         checksum = 0
         offset = offset0
         if m:
-            if sched.batch is not None and m >= _BATCH_MIN_BLOCKS_UNSEAL:
-                plain_body, checksum = self._decrypt_batch_body(offset0, body, m)
-                parts.append(plain_body)
-            else:
-                cum = sched.grow(m)
-                from_bytes = int.from_bytes
-                xs: list[int] = []
-                offs: list[int] = []
-                pos = 0
-                for i in range(1, m + 1):
-                    off = offset0 ^ cum[i]
-                    xs.append(from_bytes(body[pos : pos + 16], "big") ^ off)
-                    offs.append(off)
-                    pos += 16
-                append = parts.append
-                for dec, off in zip(self._aes.decrypt_blocks_int(xs), offs):
-                    plain = dec ^ off
-                    checksum ^= plain
-                    append(plain.to_bytes(16, "big"))
-            offset ^= sched.cumulative[m]
+            cum = sched.grow(m)
+            from_bytes = int.from_bytes
+            xs: list[int] = []
+            offs: list[int] = []
+            pos = 0
+            for i in range(1, m + 1):
+                off = offset0 ^ cum[i]
+                xs.append(from_bytes(body[pos : pos + 16], "big") ^ off)
+                offs.append(off)
+                pos += 16
+            append = parts.append
+            for dec, off in zip(self._aes.decrypt_blocks_int(xs), offs):
+                plain = dec ^ off
+                checksum ^= plain
+                append(plain.to_bytes(16, "big"))
+            offset ^= cum[m]
         if tail_len:
             tail = bytes(body[m * BLOCK_SIZE :])
             offset ^= self._l_star

@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.crypto import batch as _batch
+from repro.crypto.backend import cipher_for
 from repro.crypto.keys import OCB_NONCE_PREFIX, Base64Key, Nonce
-from repro.crypto.ocb import TAG_LEN, OCBCipher
+from repro.crypto.ocb import TAG_LEN
 from repro.errors import AuthenticationError, CryptoError, ReplayError
 from repro.obs.registry import Histogram
 
@@ -96,17 +96,18 @@ class CryptoStats:
         self.replay_drops = 0
         # Wall-clock cost of each seal/unseal in microseconds (CPU cost,
         # deliberately wall-time even on simulated-clock sessions).
-        # 1 µs .. 1 s spans the pure-python kernel across payload sizes.
+        # 1 µs .. 1 s spans the native backend through the pure-Python
+        # kernel at large payloads.
         self.seal_us = Histogram(
             "crypto.seal_us", low=1.0, high=1_000_000.0, unit="us"
         )
         self.unseal_us = Histogram(
             "crypto.unseal_us", low=1.0, high=1_000_000.0, unit="us"
         )
-        # Most recent per-datagram cost (amortized share under batching),
-        # read by the causal tracer to carve crypto CPU out of a
-        # keystroke's stage timeline. Plain floats, always maintained —
-        # the histograms above gate on the global observability switch.
+        # Most recent per-datagram cost, read by the causal tracer to
+        # carve crypto CPU out of a keystroke's stage timeline. Plain
+        # floats, always maintained — the histograms above gate on the
+        # global observability switch.
         self.last_seal_us = 0.0
         self.last_unseal_us = 0.0
 
@@ -145,7 +146,7 @@ class Session:
 
     def __init__(self, key: Base64Key) -> None:
         self._key = key
-        self._cipher = OCBCipher(key.key)
+        self._cipher = cipher_for(key.key)
         self.stats = CryptoStats()
         # One replay window per direction bit: an endpoint normally
         # decrypts only its peer's direction, but reflected datagrams are
@@ -305,122 +306,29 @@ class NullSession:
 
 
 # ----------------------------------------------------------------------
-# Cross-session batching: many datagrams, many keys, one kernel pass
+# Per-flush entry points for the wire batchers
 # ----------------------------------------------------------------------
 
 
 def seal_many(pairs) -> list[bytes]:
-    """Seal ``[(session, Message), ...]`` — batched across sessions.
-
-    Byte-identical to calling ``session.encrypt(message)`` per pair (the
-    batched cipher path shares its assembly code with the scalar one),
-    with identical counter/stat movement; ``seal_us`` records each
-    datagram's amortized share of the batch. NullSessions and too-small
-    batches fall back to per-pair sealing.
-    """
-    out: list = [None] * len(pairs)
-    batched: list[int] = []
-    for i, (session, message) in enumerate(pairs):
-        if type(session) is Session:
-            batched.append(i)
-        else:
-            out[i] = session.encrypt(message)
-    if len(batched) < _batch.MIN_DATAGRAMS or not _batch.available():
-        for i in batched:
-            session, message = pairs[i]
-            out[i] = session.encrypt(message)
-        return out
-    t0 = perf_counter()
-    items = []
-    for i in batched:
-        session, message = pairs[i]
-        text = message.text
-        if len(text) > MAX_PAYLOAD_LEN:
-            raise CryptoError(
-                f"payload of {len(text)} bytes exceeds "
-                f"{MAX_PAYLOAD_LEN}-byte bound"
-            )
-        items.append((session._cipher, message.nonce.ocb(), text))
-    sealed = _batch.seal_datagrams(items)
-    share_us = (perf_counter() - t0) * 1e6 / len(batched)
-    for i, raw in zip(batched, sealed):
-        session, message = pairs[i]
-        stats = session.stats
-        stats.last_seal_us = share_us
-        stats.seal_us.record(share_us)
-        stats.datagrams_sealed += 1
-        stats.bytes_sealed += len(message.text)
-        out[i] = message.nonce.wire() + raw
-    return out
+    """Seal ``[(session, Message), ...]``, one ``encrypt`` per pair."""
+    return [session.encrypt(message) for session, message in pairs]
 
 
 def unseal_many(pairs) -> list:
-    """Unseal ``[(session, raw), ...]`` — batched across sessions.
+    """Unseal ``[(session, raw), ...]`` with errors as values.
 
     ``raw`` may be ``bytes`` or a ``memoryview`` (reusable receive
     buffers: everything retained is materialized before return). Each
-    slot holds the :class:`Message`, or the exception ``decrypt`` would
-    have raised (:class:`CryptoError` subclass) *as a value*, so one
-    forged datagram cannot abort its batchmates. Stats and replay
-    windows move exactly as under per-datagram ``decrypt``; ``unseal_us``
-    records amortized per-datagram shares.
+    slot holds the :class:`Message`, or the exception ``decrypt`` raised
+    (:class:`CryptoError` subclass) *as a value*, so one forged datagram
+    cannot abort its batchmates. Stats and replay windows move exactly
+    as under per-datagram ``decrypt``.
     """
-    out: list = [None] * len(pairs)
-    batched: list[int] = []
-    for i, (session, data) in enumerate(pairs):
-        if (
-            type(session) is Session
-            and len(data) >= _NONCE_WIRE_LEN + TAG_LEN
-        ):
-            batched.append(i)
-        else:
-            try:
-                out[i] = session.decrypt(
-                    data if isinstance(data, bytes) else bytes(data)
-                )
-            except CryptoError as exc:
-                out[i] = exc
-    if len(batched) < _batch.MIN_DATAGRAMS or not _batch.available():
-        for i in batched:
-            session, data = pairs[i]
-            try:
-                out[i] = session.decrypt(
-                    data if isinstance(data, bytes) else bytes(data)
-                )
-            except CryptoError as exc:
-                out[i] = exc
-        return out
-    t0 = perf_counter()
-    items = []
-    wires = []
-    for i in batched:
-        session, data = pairs[i]
-        view = memoryview(data)
-        wire = bytes(view[:_NONCE_WIRE_LEN])
-        wires.append(wire)
-        items.append(
-            (session._cipher, OCB_NONCE_PREFIX + wire, view[_NONCE_WIRE_LEN:])
-        )
-    texts = _batch.unseal_datagrams(items)
-    share_us = (perf_counter() - t0) * 1e6 / len(batched)
-    for i, wire, text in zip(batched, wires, texts):
-        session = pairs[i][0]
-        stats = session.stats
-        if isinstance(text, AuthenticationError):
-            stats.auth_failures += 1
-            out[i] = text
-            continue
-        stats.last_unseal_us = share_us
-        stats.unseal_us.record(share_us)
-        nonce = Nonce.from_wire(wire)
-        if not session._replay[nonce.direction].note(nonce.seq):
-            stats.replay_drops += 1
-            out[i] = ReplayError(
-                f"replayed sequence number {nonce.seq} "
-                f"(direction {nonce.direction})"
-            )
-            continue
-        stats.datagrams_unsealed += 1
-        stats.bytes_unsealed += len(text)
-        out[i] = Message(nonce=nonce, text=text)
+    out: list = []
+    for session, data in pairs:
+        try:
+            out.append(session.decrypt(data))
+        except CryptoError as exc:
+            out.append(exc)
     return out

@@ -129,6 +129,9 @@ class SessionMux:
         self._bad = self.registry.counter("daemon.bad_packets")
         self._no_route = self.registry.counter("daemon.no_route")
         self._fallbacks = self.registry.counter("daemon.legacy_fallbacks")
+        #: Trial decryptions spent on v1 key probing, successful or not:
+        #: the unauthenticated work a v1 sender can make the daemon do.
+        self._probe_attempts = self.registry.counter("daemon.probe_attempts")
         self.registry.gauge("daemon.sessions_routed", fn=lambda: len(self._routes))
 
     # ------------------------------------------------------------------
@@ -253,6 +256,7 @@ class SessionMux:
         for conn_id, endpoint in self._routes.items():
             if conn_id == known:
                 continue  # already tried (and failed) above
+            self._probe_attempts.value += 1
             if endpoint.session.probe(raw):
                 self._learn(addr, conn_id)
                 self._fallbacks.value += 1

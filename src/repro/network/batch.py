@@ -1,18 +1,18 @@
-"""Per-tick wire batching: one crypto pass and one syscall burst.
+"""Per-tick wire batching: one flush and one syscall burst per tick.
 
 With the daemon muxing N sessions onto one port, the per-datagram costs —
 a seal, a flight note, a ``sendto`` — repeat N times per reactor tick.
 This module collects them instead:
 
 * :class:`WireBatcher` queues every session's outgoing datagrams during a
-  tick and flushes them together: one cross-session
-  :func:`~repro.crypto.session.seal_many` call, then one transmit burst
+  tick and flushes them together: one
+  :func:`~repro.crypto.session.seal_many` pass, then one transmit burst
   (``sendmmsg`` on Linux via :mod:`repro.network.sysbatch`, a
   per-datagram ``sendmsg``/``sendto`` elsewhere, or the endpoint's own
   ``transmit_to`` in the simulator).
 * :class:`RxBatcher` stages inbound datagrams (post-framing, pre-unseal)
   and flushes them through one :func:`~repro.crypto.session.unseal_many`
-  call, then notifies each endpoint once per flush instead of once per
+  pass, then notifies each endpoint once per flush instead of once per
   datagram.
 * :class:`SyscallCounter` counts actual socket-API invocations so the
   benchmark's syscalls-per-packet figure is measured, not estimated.
@@ -139,7 +139,7 @@ class WireBatcher:
 
 
 class RxBatcher:
-    """Inbound staging area: unseal a whole burst in one kernel pass.
+    """Inbound staging area: unseal a whole burst in one flush.
 
     Endpoints with ``rx_stage`` set divert each unframed datagram here
     instead of unsealing inline; :meth:`flush` runs the batched unseal

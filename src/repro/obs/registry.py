@@ -2,7 +2,8 @@
 
 Every instrument is a tiny mutable object designed to stay always-on in
 the hot paths: a counter increment is one attribute add, a histogram
-record is one ``bisect`` into precomputed log-spaced bucket bounds. A
+record is one list append (samples are bucketed into precomputed
+log-spaced bounds a sorted batch at a time). A
 :class:`MetricsRegistry` names and aggregates instruments so one
 ``snapshot()`` call renders the whole runtime — reactor, transport,
 crypto, prediction, simulated links — as a single JSON document.
@@ -23,7 +24,7 @@ existing behaviour depends on them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fnmatch import fnmatchcase
 from typing import Callable, Iterable
 
@@ -34,6 +35,12 @@ SNAPSHOT_SCHEMA = "repro.obs/1"
 
 #: Schema tag for incremental feed documents (see :class:`SnapshotDelta`).
 DELTA_SCHEMA = "repro.obs.delta/1"
+
+#: Samples a histogram buffers before bucketing them in one sorted pass
+#: (at most ~8 KB per histogram). Batching amortises the fold's fixed
+#: cost, which at 64 samples was still a visible share of a ~2 µs
+#: native seal.
+_FOLD_BATCH = 256
 
 _enabled = True
 
@@ -95,15 +102,19 @@ class Histogram:
 
     Bucket bounds are precomputed at construction: ``buckets`` bounds
     spaced geometrically across ``[low, high]``, plus an overflow bucket.
-    Recording is ``bisect_right`` into that list — no allocation, so the
-    histogram can sit directly on the seal/unseal and keystroke paths.
+    Recording appends to a small buffer; every :data:`_FOLD_BATCH`
+    samples (and before any read) the buffer is sorted and bucketed with
+    one ``bisect`` per bucket it spans, so the histogram can sit directly
+    on the seal/unseal and keystroke paths. Counts, min and max are
+    exactly those of per-sample recording (the sum up to float rounding).
     Quantiles are answered from the bucket counts using each bucket's
     geometric midpoint, which is exact to within one bucket's ratio
     (≈12 % at the default resolution) — plenty for latency distributions
     spanning decades.
     """
 
-    __slots__ = ("name", "unit", "_bounds", "_counts", "count", "total", "min", "max")
+    __slots__ = ("name", "unit", "_bounds", "_counts", "_count", "_total",
+                 "_min", "_max", "_pending")
 
     def __init__(
         self,
@@ -124,24 +135,71 @@ class Histogram:
         ratio = (high / low) ** (1.0 / (buckets - 1))
         self._bounds = [low * ratio**i for i in range(buckets)]
         self._counts = [0] * (buckets + 1)  # +1 overflow bucket
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = 0.0
+        self._clear()
+
+    def _clear(self) -> None:
+        self._count = 0
+        self._total = 0.0
+        self._min = math.inf
+        self._max = 0.0
+        self._pending: list[float] = []
 
     def record(self, value: float) -> None:
-        """Fold one sample in (a no-op while observability is disabled)."""
+        """Add one sample (a no-op while observability is disabled)."""
         if not _enabled:
             return
-        self._counts[bisect_right(self._bounds, value)] += 1
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= _FOLD_BATCH:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Bucket the buffered samples: sort, then bisect per bucket."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        self._count += len(pending)
+        self._total = sum(pending, self._total)
+        pending.sort()
+        lo, hi = pending[0], pending[-1]
+        bounds, counts = self._bounds, self._counts
+        # Bucket i holds bounds[i-1] <= v < bounds[i] (bisect_right).
+        i = bisect_right(bounds, lo)
+        last = bisect_right(bounds, hi)
+        start = 0
+        while i < last:
+            end = bisect_left(pending, bounds[i], start)
+            counts[i] += end - start
+            start = end
+            i += 1
+        counts[last] += len(pending) - start
+        if lo < self._min:
+            self._min = lo
+        if hi > self._max:
+            self._max = hi
 
     # -- accessors ------------------------------------------------------
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> float:
+        self._fold()
+        return self._total
+
+    @property
+    def min(self) -> float:
+        self._fold()
+        return self._min
+
+    @property
+    def max(self) -> float:
+        self._fold()
+        return self._max
 
     @property
     def mean(self) -> float:
@@ -229,6 +287,7 @@ class Histogram:
 
     def nonzero_buckets(self) -> list[list[float]]:
         """Sparse [upper_bound, count] pairs (overflow bound is +inf)."""
+        self._fold()
         out: list[list[float]] = []
         for i, n in enumerate(self._counts):
             if n == 0:
@@ -253,10 +312,7 @@ class Histogram:
         other.unit = self.unit
         other._bounds = list(self._bounds)
         other._counts = [0] * len(self._counts)
-        other.count = 0
-        other.total = 0.0
-        other.min = math.inf
-        other.max = 0.0
+        other._clear()
         return other
 
     def merge(self, other: "Histogram") -> "Histogram":
@@ -276,18 +332,18 @@ class Histogram:
                 f"cannot merge {other.name!r} ({other.unit}) into "
                 f"{self.name!r} ({self.unit}): units differ"
             )
-        if other.count == 0:
+        if other.count == 0:  # folds other's buffer
             return self
         counts = self._counts
         for i, n in enumerate(other._counts):
             if n:
                 counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
+        self._count += other._count
+        self._total += other._total
+        if other._min < self._min:
+            self._min = other._min
+        if other._max > self._max:
+            self._max = other._max
         return self
 
     @classmethod
@@ -321,11 +377,11 @@ class Histogram:
                         f"[{low}, {high}]x{buckets} grid"
                     )
             hist._counts[index] += int(n)
-        hist.count = int(summary.get("count", 0))
-        hist.total = float(summary.get("sum", 0.0))
-        if hist.count:
-            hist.min = float(summary.get("min", 0.0))
-            hist.max = float(summary.get("max", 0.0))
+        hist._count = int(summary.get("count", 0))
+        hist._total = float(summary.get("sum", 0.0))
+        if hist._count:
+            hist._min = float(summary.get("min", 0.0))
+            hist._max = float(summary.get("max", 0.0))
         return hist
 
 

@@ -1,16 +1,15 @@
 """AES-128 against FIPS 197 / NIST SP 800-38A, plus kernel equivalence.
 
-The module ships three kernels that must agree bit-for-bit: the classic
-bytes-API word kernel, the int-domain batch kernel (``*_block_int`` /
-``*_blocks_int``), and the optional numpy batch backend. The vectors
-anchor the bytes API; the property tests pin the other two to it.
+The module ships two kernels that must agree bit-for-bit: the classic
+bytes-API word kernel and the int-domain batch kernel (``*_block_int`` /
+``*_blocks_int``). The vectors anchor the bytes API; the property tests
+pin the int kernel to it.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import batch
 from repro.crypto.aes import AES128, INV_SBOX, SBOX
 from repro.errors import CryptoError
 
@@ -139,31 +138,3 @@ class TestIntKernel:
         cipher = AES128(bytes(16))
         from_gen = cipher.encrypt_blocks_int(i**3 for i in range(5))
         assert from_gen == cipher.encrypt_blocks_int([i**3 for i in range(5)])
-
-
-@pytest.mark.skipif(not batch.available(), reason="numpy not installed")
-class TestBatchKernel:
-    """The numpy backend must equal the scalar kernel row-for-row."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.binary(min_size=16, max_size=16),
-        st.binary(min_size=16, max_size=16 * 40).filter(lambda b: len(b) % 16 == 0),
-    )
-    def test_batch_matches_scalar(self, key, data):
-        cipher = AES128(key)
-        kernel = batch.BatchAES(cipher)
-        state = batch.as_block_array(data)
-        enc = kernel.encrypt(state).tobytes()
-        dec = kernel.decrypt(state).tobytes()
-        for i in range(0, len(data), 16):
-            block = data[i : i + 16]
-            assert enc[i : i + 16] == cipher.encrypt_block(block)
-            assert dec[i : i + 16] == cipher.decrypt_block(block)
-
-    def test_nist_vectors_as_one_batch(self):
-        kernel = batch.BatchAES(AES128(NIST_ECB_KEY))
-        pts = bytes.fromhex("".join(pt for pt, _ in NIST_ECB_VECTORS))
-        cts = bytes.fromhex("".join(ct for _, ct in NIST_ECB_VECTORS))
-        assert kernel.encrypt(batch.as_block_array(pts)).tobytes() == cts
-        assert kernel.decrypt(batch.as_block_array(cts)).tobytes() == pts

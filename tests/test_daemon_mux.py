@@ -24,6 +24,7 @@ from repro.daemon.mux import SessionMux
 from repro.errors import NetworkError
 from repro.network.interface import DatagramEndpoint
 from repro.network.packet import CONN_WIRE_MAGIC
+from tests.test_crypto_backend import PureBackend
 
 
 class WireClient(DatagramEndpoint):
@@ -197,6 +198,19 @@ class TestLegacyRouting:
         assert endpoint_a.pop_received() == [b"now-a"]
         assert mux._addr_routes["nat-addr"] == endpoint_a.conn_id
 
+    def test_probe_attempts_count_every_trial_decrypt(self):
+        """Failed probes count too: unauthenticated work is visible."""
+        mux, _, (key_b, _endpoint_b) = self.two_sessions()
+        attempts = mux.registry.counter("daemon.probe_attempts")
+        client = WireClient(key_b)
+        mux.dispatch(client.datagram(b"one"), "addr-b")
+        assert attempts.value == 2  # A fails, B authenticates
+        mux.dispatch(client.datagram(b"two"), "addr-b")
+        assert attempts.value == 2  # learned address: no probing
+        mux.dispatch(WireClient(Base64Key.new()).datagram(), "stranger")
+        assert attempts.value == 4  # both keys tried, neither fits
+        assert mux.registry.counter("daemon.legacy_fallbacks").value == 1
+
     def test_unroutable_v1_counts_no_route(self):
         mux, _, _ = self.two_sessions()
         assert mux.dispatch(WireClient(Base64Key.new()).datagram(), "x") is None
@@ -209,6 +223,10 @@ class TestLegacyRouting:
         assert mux.dispatch(bytes(64), "attacker") is endpoint
         assert endpoint.session.stats.auth_failures == 1
         assert mux.registry.counter("daemon.no_route").value == 0
+
+
+class TestLegacyRoutingPureBackend(PureBackend, TestLegacyRouting):
+    """Key probing on the from-scratch cipher."""
 
 
 class TestIdleReaper:

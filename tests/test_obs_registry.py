@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs.registry import (
@@ -109,6 +111,55 @@ class TestHistogram:
         assert h.count == 0
         h.record(10.0)
         assert h.count == 1
+
+
+class TestBufferedFolding:
+    """Buffered, sorted-batch bucketing equals one bisect per sample."""
+
+    @staticmethod
+    def reference(h, values):
+        from bisect import bisect_right
+
+        counts = [0] * (len(h._bounds) + 1)
+        for v in values:
+            counts[bisect_right(h._bounds, v)] += 1
+        return counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-3, max_value=1e4),
+                # Exact bucket bounds: the bisect_right tie-break.
+                st.sampled_from(Histogram("g", 1.0, 100.0, 8)._bounds),
+            ),
+            max_size=700,
+        ),
+        reads=st.lists(st.integers(0, 700), max_size=4),
+    )
+    def test_matches_per_sample_bisect(self, values, reads):
+        h = Histogram("h", low=1.0, high=100.0, buckets=8)
+        for i, v in enumerate(values):
+            if i in reads:
+                h.count  # a read mid-stream folds the partial batch
+            h.record(v)
+        assert h.count == len(values)
+        assert h._counts == self.reference(h, values)
+        if values:
+            assert h.min == min(values) and h.max == max(values)
+            assert h.total == pytest.approx(math.fsum(values))
+
+    def test_merge_folds_both_sides(self):
+        a = Histogram("a", low=1.0, high=100.0, buckets=8)
+        b = a.clone_empty("b")
+        for v in (2.0, 3.0, 50.0):
+            a.record(v)
+        for v in (0.5, 500.0):
+            b.record(v)
+        a.merge(b)
+        assert a.count == 5
+        assert a.min == 0.5 and a.max == 500.0
+        assert a._counts == self.reference(a, [2.0, 3.0, 50.0, 0.5, 500.0])
 
 
 class TestRegistry:

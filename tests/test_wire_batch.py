@@ -1,4 +1,4 @@
-"""The batched wire path: cross-session crypto batches, tick-boundary
+"""The batched wire path: per-flush seal/unseal, tick-boundary
 flush hooks, syscall batching, and the contracts that keep batching
 byte-identical to the inline path (ordering, partial-failure fates,
 zero-copy staging)."""
@@ -26,6 +26,7 @@ from repro.network.packet import TIMESTAMP_NONE, Packet, encode_conn_id
 from repro.obs.flight import FlightRecorder
 from repro.runtime.reactor import RealReactor
 from repro.simnet.eventloop import EventLoop
+from tests.test_crypto_backend import PureBackend
 
 
 def _keyed_pair():
@@ -58,8 +59,8 @@ class RecordingEndpoint(DatagramEndpoint):
 
 
 # ----------------------------------------------------------------------
-# Cross-session crypto batches must be indistinguishable from scalar
-# calls: same bytes, same counters, failures as values.
+# Per-flush seal/unseal must be indistinguishable from scalar calls:
+# same bytes, same counters, failures as values — on either cipher.
 # ----------------------------------------------------------------------
 
 
@@ -197,6 +198,14 @@ class TestUnsealManyParity:
         assert bs.bytes_unsealed == ss.bytes_unsealed
         assert bs.auth_failures == ss.auth_failures == 1
         assert bs.replay_drops == ss.replay_drops == 1
+
+
+class TestSealManyParityPureBackend(PureBackend, TestSealManyParity):
+    pass
+
+
+class TestUnsealManyParityPureBackend(PureBackend, TestUnsealManyParity):
+    pass
 
 
 # ----------------------------------------------------------------------
