@@ -6,9 +6,9 @@ Three measurements feed the ``wire`` section of ``BENCH_hotpath.json``:
   a 256-session sim-daemon echo workload driven at the wire layer:
   every round injects one pre-sealed datagram per session into the
   shared port, and every session echoes the payload straight back.
-  This isolates exactly the path the batching rebuilt — mux dispatch,
-  framing, unseal, replay window, flight recording, notification,
-  seal, transmit — with the per-tick batch at the session count. Run
+  This isolates the daemon's datagram path — mux dispatch, framing,
+  unseal, replay window, flight recording, notification, seal,
+  transmit — with the per-tick batch at the session count. Run
   twice, with and without batching, on one core.
 * **End-to-end identity** (``e2e_*``) — the same daemon under full
   session cores (typing clients, echo-to-screen servers, transport
@@ -105,7 +105,9 @@ def _run_wirepath(sessions: int, rounds: int, wire_batch: bool) -> dict:
     mux.transmit = port.transmit
     tx = rx = None
     if wire_batch:
-        tx = WireBatcher(registry=reactor.registry)
+        tx = WireBatcher(
+            transmit_many=port.transmit_many, registry=reactor.registry
+        )
         rx = RxBatcher(registry=reactor.registry)
         reactor.add_flush_hook(rx.flush)
         reactor.add_flush_hook(tx.flush)
@@ -120,7 +122,7 @@ def _run_wirepath(sessions: int, rounds: int, wire_batch: bool) -> dict:
         )
         if wire_batch:
             endpoint.batcher = tx
-            endpoint.rx_stage = rx.stage
+            endpoint.rx_batcher = rx
 
         def echo(now: float, count: int = 1, ep=endpoint) -> None:
             for payload in ep.pop_received():
@@ -243,13 +245,12 @@ def _measure_syscalls(
     conn = MuxUdpConnection(bind_host="127.0.0.1")
     tx = WireBatcher(transmit_many=conn.transmit_many)
     rx = RxBatcher()
-    conn.rx_batcher = rx
     client_sessions: dict[int, Session] = {}
     for i in range(sessions):
         key = _key_for(i)
         endpoint = conn.open_endpoint(Session(key), conn_id=i + 1)
         endpoint.batcher = tx
-        endpoint.rx_stage = rx.stage
+        endpoint.rx_batcher = rx
 
         def echo(now: float, count: int, ep=endpoint) -> None:
             for payload in ep.pop_received():
@@ -272,9 +273,9 @@ def _measure_syscalls(
             )
             client.sendto(encode_conn_id(cid) + raw, dst)
         time.sleep(0.02)
-        pkts += conn.receive_ready()  # recvmmsg bursts + staged unseal
-        rx.flush()
-        pkts += tx.flush()  # one crypto pass + sendmmsg burst
+        pkts += conn.receive_ready()  # recvmmsg bursts, unsealed inline
+        rx.flush()  # one echo per session
+        pkts += tx.flush()  # one sendmmsg burst
         # Drain the echoes so the client socket buffer can't fill.
         client.setblocking(False)
         while True:

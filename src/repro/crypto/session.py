@@ -306,7 +306,10 @@ class NullSession:
 
 
 # ----------------------------------------------------------------------
-# Per-flush entry points for the wire batchers
+# List helpers: one encrypt/decrypt per pair. The datagram path seals
+# and unseals inline at the endpoint and no longer calls these; they are
+# kept for the tests and for the benchmark's span ledger, which wraps
+# them by name.
 # ----------------------------------------------------------------------
 
 

@@ -287,11 +287,12 @@ class SessionManager:
         return on_readable
 
     def close(self, conn_id: int, state: str = "closed") -> bool:
-        """Tear one session down: pty, routing entry, reader, deadline."""
+        """Tear one session down: core, pty, route, reader, deadline."""
         record = self._records.pop(conn_id, None)
         if record is None:
             return False
         record.state = state
+        record.core.close()
         self._parked.discard(conn_id)
         if record.reap_timer is not None:
             record.reap_timer.cancel()

@@ -71,28 +71,9 @@ class VirtualEndpoint(DatagramEndpoint):
     def _transmit(self, raw: bytes, now: float) -> None:
         self._mux.transmit(raw, self._remote_addr, now)
 
-    def transmit_to(self, raw: bytes, addr: Any, now: float) -> None:
-        """Batched-flush transmit: the mux port is inherently addressable."""
-        self._mux.transmit(raw, addr, now)
-
     def deliver(self, raw: bytes, addr: Any, now: float) -> None:
         """Inbound raw datagram (still framed, if v2) from the mux."""
         self._handle_datagram(raw, addr, now)
-
-    def deliver_now(self, raw: bytes, addr: Any, now: float) -> None:
-        """Deliver with the inline (unstaged) unseal path.
-
-        The legacy v1 routing fallback reads this endpoint's accept/
-        auth-failure counters immediately after delivery to decide
-        whether the source address still belongs to this session; that
-        verdict cannot wait for a batch flush.
-        """
-        stage = self.rx_stage
-        self.rx_stage = None
-        try:
-            self._handle_datagram(raw, addr, now)
-        finally:
-            self.rx_stage = stage
 
     def close(self) -> None:
         """Withdraw this session from the routing table."""
@@ -239,10 +220,7 @@ class SessionMux:
             if endpoint is not None:
                 accepted = endpoint.datagrams_received
                 failures = endpoint.session.stats.auth_failures
-                # Counter-probing below needs the unseal verdict *now*;
-                # a staged (batched) unseal would defer it past the
-                # routing decision.
-                endpoint.deliver_now(raw, addr, now)
+                endpoint.deliver(raw, addr, now)
                 if endpoint.datagrams_received > accepted:
                     self._routed.value += 1
                     return endpoint

@@ -1,40 +1,34 @@
-"""Per-tick wire batching: one flush and one syscall burst per tick.
+"""Per-tick wire batching: one transmit burst and one pump kick per tick.
 
-With the daemon muxing N sessions onto one port, the per-datagram costs —
-a seal, a flight note, a ``sendto`` — repeat N times per reactor tick.
-This module collects them instead:
+With the daemon muxing N sessions onto one port, a reactor tick can send
+and receive datagrams for many sessions. Sealing and unsealing stay
+inline at the endpoint (:meth:`~repro.network.interface.DatagramEndpoint.
+send` / ``_handle_datagram``); this module batches only what still pays:
 
-* :class:`WireBatcher` queues every session's outgoing datagrams during a
-  tick and flushes them together: one
-  :func:`~repro.crypto.session.seal_many` pass, then one transmit burst
-  (``sendmmsg`` on Linux via :mod:`repro.network.sysbatch`, a
-  per-datagram ``sendmsg``/``sendto`` elsewhere, or the endpoint's own
-  ``transmit_to`` in the simulator).
-* :class:`RxBatcher` stages inbound datagrams (post-framing, pre-unseal)
-  and flushes them through one :func:`~repro.crypto.session.unseal_many`
-  pass, then notifies each endpoint once per flush instead of once per
-  datagram.
+* :class:`WireBatcher` queues every session's already-sealed outgoing
+  datagrams during a tick and hands them to ``transmit_many`` in one
+  flush (``sendmmsg`` on Linux via :mod:`repro.network.sysbatch`, a
+  per-datagram ``sendmsg``/``sendto`` elsewhere, one link send per
+  datagram in the simulator).
+* :class:`RxBatcher` counts each endpoint's accepted datagrams during a
+  tick and kicks each pump once per flush instead of once per datagram.
 * :class:`SyscallCounter` counts actual socket-API invocations so the
   benchmark's syscalls-per-packet figure is measured, not estimated.
 
 Flush ordering and timing are the caller's contract: both batchers must
-be flushed before simulated time advances past the tick that enqueued
-the work (the event loop's flush hooks guarantee this), which keeps the
-wire byte-identical to the unbatched path — nonces and timestamps are
-assigned at enqueue, and the datagrams still reach the link at the same
-instant they otherwise would.
-
-Queued send entries are tuples (hot path):
-``(endpoint, nonce, text, header, addr, now, meta, seq, ts, tsr,
-wire_len)``.
+be flushed before simulated time advances past the tick that queued the
+work (the reactor's flush hooks guarantee this). Every wire field and
+the destination address are fixed at send, and the datagrams still
+reach the link at the instant they were sent, so the wire is
+byte-identical to the unbatched path.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.crypto.session import Message, seal_many, unseal_many
 from repro.obs import registry as _obs
+from repro.obs.flight import peek_seq
 from repro.obs.registry import MetricsRegistry
 
 
@@ -61,33 +55,46 @@ class SyscallCounter:
         return dict(self.calls)
 
 
-class WireBatcher:
-    """Queue of sealed-pending datagrams, drained once per tick.
+class _TickBatcher:
+    """Flush metering shared by both batchers: ``wire.<tx|rx>_flushes``,
+    ``_datagrams`` and the ``_batch`` size histogram."""
 
-    ``transmit_many`` (optional) receives the whole flush as a list of
-    ``(header, raw, addr, endpoint, now)`` tuples and returns the indexes
-    that failed to send (for flight-recorder ``send_err`` fates); without
-    it, each entry goes out via ``endpoint.transmit_to``. Entry ordering
-    is preserved end-to-end — a failed entry is skipped, never allowed to
-    drop or reorder the rest (the sysbatch senders share this contract).
+    def __init__(self, prefix: str, registry: MetricsRegistry | None) -> None:
+        if registry is None:
+            registry = MetricsRegistry()
+        self._flushes = registry.counter(f"wire.{prefix}_flushes")
+        self._datagrams = registry.counter(f"wire.{prefix}_datagrams")
+        self._batch_hist = registry.histogram(
+            f"wire.{prefix}_batch", low=1.0, high=4096.0, unit="datagrams"
+        )
+
+    def _metered(self, n: int) -> int:
+        self._flushes.value += 1
+        self._datagrams.value += n
+        self._batch_hist.record(float(n))
+        return n
+
+
+class WireBatcher(_TickBatcher):
+    """Queue of sealed datagrams, transmitted once per tick.
+
+    Entries are the ``(header, raw, addr, endpoint, now)`` tuples that
+    ``transmit_many`` takes: ``header`` is the mux conn-id header or
+    None, ``raw`` the sealed body. It returns the indexes that failed to
+    send (flight-recorded here as ``send_err`` fates).
+    Entry ordering is preserved end-to-end — a failed entry is skipped,
+    never allowed to drop or reorder the rest (the sysbatch senders
+    share this contract).
     """
 
     def __init__(
         self,
-        transmit_many: Callable[[list], list[int]] | None = None,
+        transmit_many: Callable[[list], list[int]],
         registry: MetricsRegistry | None = None,
     ) -> None:
+        super().__init__("tx", registry)
         self._pending: list[tuple] = []
         self._transmit_many = transmit_many
-        if registry is not None:
-            self._flushes = registry.counter("wire.tx_flushes")
-            self._datagrams = registry.counter("wire.tx_datagrams")
-            self._batch_hist = registry.histogram(
-                "wire.tx_batch", low=1.0, high=4096.0, unit="datagrams"
-            )
-        else:
-            self._flushes = self._datagrams = None
-            self._batch_hist = None
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -96,100 +103,59 @@ class WireBatcher:
         self._pending.append(entry)
 
     def flush(self) -> int:
-        """Seal and transmit everything queued; returns the count."""
+        """Transmit everything queued; returns the count."""
         pending = self._pending
         if not pending:
             return 0
         self._pending = []
-        n = len(pending)
-        sealed = seal_many(
-            [(e[0].session, Message(nonce=e[1], text=e[2])) for e in pending]
-        )
-        obs_on = _obs._enabled
-        sends: list[tuple] = []
-        for e, raw in zip(pending, sealed):
-            endpoint = e[0]
-            if obs_on and endpoint.flight is not None:
-                meta = dict(e[6]) if e[6] else {}
-                meta["bsz"] = n
-                endpoint.flight.note_send(
-                    e[5], endpoint.dir_out, e[7], e[10], e[8], e[9], meta
-                )
-            sends.append((e[3], raw, e[4], endpoint, e[5]))
-        if self._transmit_many is not None:
-            failed = self._transmit_many(sends)
-        else:
-            failed = ()
-            for header, raw, addr, endpoint, now in sends:
-                out = raw if header is None else header + raw
-                endpoint.transmit_to(out, addr, now)
-        if failed:
+        failed = self._transmit_many(pending)
+        if failed and _obs._enabled:
             for idx in failed:
-                header, raw, addr, endpoint, now = sends[idx]
-                if obs_on and endpoint.flight is not None:
+                header, raw, _, endpoint, now = pending[idx]
+                if endpoint.flight is not None:
                     endpoint.flight.note_drop(
-                        now, endpoint.dir_out, "send_err",
-                        seq=pending[idx][7], wire_len=pending[idx][10],
+                        now, endpoint.dir_out, "send_err", seq=peek_seq(raw),
+                        wire_len=len(raw) + (len(header) if header else 0),
                     )
-        if self._flushes is not None:
-            self._flushes.value += 1
-            self._datagrams.value += n
-            self._batch_hist.record(float(n))
-        return n
+        return self._metered(len(pending))
 
 
-class RxBatcher:
-    """Inbound staging area: unseal a whole burst in one flush.
+class RxBatcher(_TickBatcher):
+    """Pump-kick coalescer: one notification per endpoint per tick.
 
-    Endpoints with ``rx_stage`` set divert each unframed datagram here
-    instead of unsealing inline; :meth:`flush` runs the batched unseal
-    and hands every result back through ``endpoint.handle_unsealed``,
-    then notifies each endpoint *once* (coalesced pump kick). Staged
-    buffers may be views into reusable receive slots — the caller must
-    flush before refilling them (everything retained downstream is
-    materialized during the flush).
+    Endpoints with this batcher attached (``endpoint.rx_batcher``) report
+    each accepted datagram through :meth:`note` instead of calling
+    ``on_datagram``; :meth:`flush` then calls ``notify_datagrams`` once
+    per endpoint, in first-arrival order, with the count and the latest
+    arrival time. Forged, replayed and misrouted datagrams never reach
+    it.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self._staged: list[tuple] = []
-        if registry is not None:
-            self._flushes = registry.counter("wire.rx_flushes")
-            self._datagrams = registry.counter("wire.rx_datagrams")
-            self._batch_hist = registry.histogram(
-                "wire.rx_batch", low=1.0, high=4096.0, unit="datagrams"
-            )
-        else:
-            self._flushes = self._datagrams = None
-            self._batch_hist = None
+        super().__init__("rx", registry)
+        # endpoint -> [accepted count, latest arrival time]
+        self._pending: dict[Any, list] = {}
 
     def __len__(self) -> int:
-        return len(self._staged)
+        """Accepted datagrams whose pump kick is still pending."""
+        return sum(count for count, _ in self._pending.values())
 
-    def stage(
-        self, endpoint: Any, body: Any, arrived_framed: bool,
-        addr: Any, now: float,
-    ) -> None:
-        self._staged.append((endpoint, body, arrived_framed, addr, now))
+    def note(self, endpoint: Any, now: float) -> None:
+        entry = self._pending.get(endpoint)
+        if entry is None:
+            self._pending[endpoint] = [1, now]
+        else:
+            entry[0] += 1
+            entry[1] = now
 
     def flush(self) -> int:
-        """Unseal and deliver everything staged; returns the count."""
-        staged = self._staged
-        if not staged:
+        """Kick every endpoint that accepted datagrams; returns the count."""
+        pending = self._pending
+        if not pending:
             return 0
-        self._staged = []
-        results = unseal_many([(e[0].session, e[1]) for e in staged])
-        accepted: dict[Any, int] = {}
-        last_now: dict[Any, float] = {}
-        for (endpoint, body, framed, addr, now), res in zip(staged, results):
-            if endpoint.handle_unsealed(
-                res, body, addr, now, framed, notify=False
-            ):
-                accepted[endpoint] = accepted.get(endpoint, 0) + 1
-                last_now[endpoint] = now
-        for endpoint, count in accepted.items():
-            endpoint.notify_datagrams(last_now[endpoint], count)
-        if self._flushes is not None:
-            self._flushes.value += 1
-            self._datagrams.value += len(staged)
-            self._batch_hist.record(float(len(staged)))
-        return len(staged)
+        self._pending = {}
+        n = 0
+        for endpoint, (count, now) in pending.items():
+            endpoint.notify_datagrams(now, count)
+            n += count
+        return self._metered(n)

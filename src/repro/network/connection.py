@@ -183,11 +183,6 @@ class MuxUdpConnection:
         self.syscalls = SyscallCounter()
         self._receiver = BatchReceiver(self._sock, counter=self.syscalls)
         self._sender = BatchSender(self._sock, counter=self.syscalls)
-        #: Optional :class:`~repro.network.batch.RxBatcher` staging the
-        #: sessions' inbound datagrams. ``receive_ready`` flushes it
-        #: between intake bursts because the receiver's slot views are
-        #: only valid until its next ``recv_many`` call.
-        self.rx_batcher = None
 
     # ------------------------------------------------------------------
 
@@ -215,16 +210,11 @@ class MuxUdpConnection:
         """Wire-batcher flush target: one ``sendmmsg`` burst per tick.
 
         ``sends`` is the batcher's ``(header, raw, addr, endpoint, now)``
-        list; returns the indexes that failed (flight-recorded by the
-        batcher as ``send_err`` fates).
+        list; every entry has an address, because an endpoint refuses to
+        send before it knows its peer. Returns the indexes that failed
+        (flight-recorded by the batcher as ``send_err`` fates).
         """
-        live = [i for i, s in enumerate(sends) if s[2] is not None]
-        if len(live) == len(sends):
-            return self._sender.send_many(sends)
-        # Address-less entries (peer never heard from) are silent drops,
-        # exactly like the unbatched ``_sendto`` guard.
-        failed = self._sender.send_many([sends[i] for i in live])
-        return [live[i] for i in failed]
+        return self._sender.send_many(sends)
 
     def _sendto(self, raw: bytes, addr: Any, now: float) -> None:
         if addr is None:
@@ -245,15 +235,13 @@ class MuxUdpConnection:
         """Drain the socket, routing each datagram to its session.
 
         Datagrams arrive in ``recvmmsg`` bursts as views into the
-        receiver's reusable slots; with an :attr:`rx_batcher` attached
-        the sessions stage those views and the batcher is flushed before
-        the next burst can overwrite the slots (the flush materializes
-        everything it keeps).
+        receiver's reusable slots. Each view is unsealed while it is
+        dispatched and nothing downstream keeps it, so the next burst
+        may overwrite the slots.
         """
         count = 0
         now = self._clock.now()
         dispatch = self.mux.dispatch
-        rx = self.rx_batcher
         while True:
             burst = self._receiver.recv_many()
             if not burst:
@@ -261,8 +249,6 @@ class MuxUdpConnection:
             for body, addr in burst:
                 dispatch(body, addr, now)
             count += len(burst)
-            if rx is not None:
-                rx.flush()
         return count
 
     def close(self) -> None:

@@ -11,8 +11,10 @@ same bookkeeping per §2.2 of the paper:
   authentic datagram with a sequence number greater than any seen before —
   this is the whole roaming mechanism.
 
-Subclasses provide raw transmission (:meth:`_transmit`) and feed inbound
-raw datagrams to :meth:`_handle_datagram`.
+Every endpoint (client, daemon, simulator) seals in :meth:`send` and
+unseals in :meth:`_handle_datagram`. Subclasses provide raw transmission
+(:meth:`_transmit`) and feed inbound raw datagrams to
+:meth:`_handle_datagram`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable
 
 from repro.crypto.keys import DIRECTION_TO_CLIENT, DIRECTION_TO_SERVER, Nonce
-from repro.crypto.ocb import TAG_LEN
 from repro.crypto.session import Message, NullSession, Session
 from repro.errors import CryptoError, NetworkError, PacketError, ReplayError
 from repro.network.packet import (
@@ -110,13 +111,14 @@ class DatagramEndpoint(ABC):
         #: datagram's send, receive, and terminal-fate events are logged.
         self.flight: FlightRecorder | None = None
         #: Per-tick send queue (:class:`~repro.network.batch.WireBatcher`).
-        #: When attached, :meth:`send` enqueues instead of sealing inline;
-        #: the owner flushes once per tick.
+        #: When attached, :meth:`send` still seals inline but queues the
+        #: sealed datagram for the owner's once-per-tick transmit burst.
         self.batcher = None
-        #: Inbound staging hook (:class:`~repro.network.batch.RxBatcher`
-        #: ``.stage``). When set, unframed datagrams are staged for a
-        #: batched unseal instead of being decrypted inline.
-        self.rx_stage: Callable[..., None] | None = None
+        #: Per-tick pump-kick coalescer
+        #: (:class:`~repro.network.batch.RxBatcher`). When attached, an
+        #: accepted datagram is counted there instead of calling
+        #: ``on_datagram``; its flush notifies once per endpoint.
+        self.rx_batcher = None
         #: Optional per-keystroke causal tracer
         #: (:class:`~repro.obs.causal.CausalTracer`). When attached, each
         #: sent datagram's carry context and each authentic arrival's
@@ -131,16 +133,6 @@ class DatagramEndpoint(ABC):
     @abstractmethod
     def _transmit(self, raw: bytes, now: float) -> None:
         """Put raw sealed bytes on the wire toward ``self._remote_addr``."""
-
-    def transmit_to(self, raw: bytes, addr: Any, now: float) -> None:
-        """Transmit toward an explicit address (wire-batcher flush path).
-
-        The batcher captures ``self._remote_addr`` at enqueue time so a
-        roam landing mid-tick cannot retarget datagrams already queued.
-        Subclasses with addressable transports override this; the default
-        falls back to :meth:`_transmit` (single-peer endpoints).
-        """
-        self._transmit(raw, now)
 
     # ------------------------------------------------------------------
     # Mux framing
@@ -206,46 +198,19 @@ class DatagramEndpoint(ABC):
         if self._remote_addr is None:
             raise NetworkError("no remote address known yet")
         packet = self._new_packet(payload, now)
-        batcher = self.batcher
-        if batcher is not None:
-            # Deferred-seal path: nonce/seq/timestamps are fixed here (so
-            # ordering and wire bytes match the inline path exactly); the
-            # seal and the transmit happen at the tick's batch flush. The
-            # sealed length is knowable now, so counters move immediately.
-            header = (
-                self._conn_header if not self._peer_legacy else None
-            )
-            text = packet.to_plaintext()
-            wire_len = (
-                (len(header) if header is not None else 0)
-                + 8 + len(text) + TAG_LEN
-            )
-            self.datagrams_sent += 1
-            self.bytes_sent += wire_len
-            batcher.enqueue((
-                self, packet.nonce, text, header, self._remote_addr, now,
-                meta, packet.seq, packet.timestamp, packet.timestamp_reply,
-                wire_len,
-            ))
-            if self.causal is not None:
-                # Seal cost is unknowable until the batch flush; charge 0
-                # (clients are never batched, so this is a daemon-side
-                # safety net, not the common tracer path).
-                self.causal.on_send(now, packet.seq, meta, 0.0)
-            return
         raw = self._session.encrypt(
             Message(nonce=packet.nonce, text=packet.to_plaintext())
         )
-        if self._conn_header is not None and not self._peer_legacy:
-            raw = self._conn_header + raw
+        header = self._conn_header if not self._peer_legacy else None
+        wire_len = len(raw) if header is None else len(header) + len(raw)
         self.datagrams_sent += 1
-        self.bytes_sent += len(raw)
+        self.bytes_sent += wire_len
         if self.flight is not None and _obs._enabled:
             self.flight.note_send(
                 now,
                 self._dir_out,
                 packet.seq,
-                len(raw),
+                wire_len,
                 packet.timestamp,
                 packet.timestamp_reply,
                 meta,
@@ -254,7 +219,13 @@ class DatagramEndpoint(ABC):
             self.causal.on_send(
                 now, packet.seq, meta, self._session.stats.last_seal_us
             )
-        self._transmit(raw, now)
+        batcher = self.batcher
+        if batcher is not None:
+            # The destination is captured now: a roam landing later in
+            # the tick retargets only datagrams sent after it.
+            batcher.enqueue((header, raw, self._remote_addr, self, now))
+        else:
+            self._transmit(raw if header is None else header + raw, now)
 
     def _new_packet(self, payload: bytes, now: float) -> Packet:
         reply = TIMESTAMP_NONE
@@ -289,12 +260,6 @@ class DatagramEndpoint(ABC):
             raw, arrived_framed = self._unframe(raw, now)
             if raw is None:
                 return
-        stage = self.rx_stage
-        if stage is not None:
-            # Batched-unseal path: park the (possibly zero-copy) body for
-            # the tick's flush; :meth:`handle_unsealed` finishes the job.
-            stage(self, raw, arrived_framed, addr, now)
-            return
         try:
             message: Message | CryptoError = self._session.decrypt(raw)
         except CryptoError as exc:
@@ -308,17 +273,16 @@ class DatagramEndpoint(ABC):
         addr: Any,
         now: float,
         arrived_framed: bool,
-        notify: bool = True,
     ) -> bool:
-        """Post-unseal half of datagram handling (inline and batched).
+        """Post-unseal half of datagram handling.
 
         ``message`` is the unsealed :class:`Message` or the
-        :class:`CryptoError` the unseal raised (batched unsealing returns
-        failures as values). ``raw`` is the unframed wire body, used only
-        for lengths and drop forensics — nothing from it is retained.
-        Returns True when a payload was accepted; with ``notify=False``
-        the ``on_datagram`` hook is skipped so a batching caller can
-        coalesce (:meth:`notify_datagrams`).
+        :class:`CryptoError` the unseal raised. ``raw`` is the unframed
+        wire body, used only for lengths and drop forensics — nothing
+        from it is retained, so it may be a view into a reusable receive
+        slot. Returns True when a payload was accepted; the pump is then
+        notified directly, or through the attached :attr:`rx_batcher`
+        once per tick.
         """
         # The global observability switch gates the hooks here rather
         # than inside note_*, so a disabled recorder also skips the
@@ -419,7 +383,9 @@ class DatagramEndpoint(ABC):
             )
             causal.on_recv(rx)
             self._received_rx.append(rx)
-        if notify and self.on_datagram is not None:
+        if self.rx_batcher is not None:
+            self.rx_batcher.note(self, now)
+        elif self.on_datagram is not None:
             self.on_datagram(now)
         return True
 

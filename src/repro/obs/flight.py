@@ -151,10 +151,8 @@ class FlightRecorder:
 
         ``meta`` is the transport sender's description of what the
         datagram carried: instruction old/new/ack/throwaway numbers,
-        fragment id/idx/final, and the instruction diff length. The
-        batched wire path adds ``bsz`` — the size of the flush batch
-        this datagram left in (1 when sent inline). It is kept by
-        reference; callers must pass a fresh dict.
+        fragment id/idx/final, and the instruction diff length. It is
+        kept by reference; callers must pass a fresh dict.
         """
         if not _registry._enabled:
             return

@@ -111,6 +111,8 @@ class TransportPump:
         #: Kill switch for parking (benchmark legacy mode): when False the
         #: pump always keeps a timer armed, pre-parking style.
         self.park_enabled = True
+        #: Set by :meth:`stop`; a stopped pump never ticks again.
+        self.stopped = False
         endpoint = transport.endpoint
         # ``role`` prefixes every adopted instrument name; daemon shells
         # pass per-session labels ("server.s3") so N pumps share a
@@ -202,6 +204,8 @@ class TransportPump:
 
     def kick(self) -> None:
         """Tick the transport now and re-arm from its next deadline."""
+        if self.stopped:
+            return
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -277,6 +281,14 @@ class TransportPump:
         self._timer = self._reactor.call_later(
             max(min(wait, MAX_TICK_DELAY_MS), MIN_TICK_DELAY_MS), self.kick
         )
+
+    def stop(self) -> None:
+        """Stop for good (the session was closed): cancel the armed
+        timer and make every later :meth:`kick` a no-op."""
+        self.stopped = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def suspend(self) -> None:
         """Stop self-scheduling: the endpoint's machine "went to sleep".

@@ -352,8 +352,8 @@ class RealReactor(Reactor):
         else:
             self._tick_lag.set(0.0)
         self._fire_due()
-        # Wire-batch drain: everything queued by this iteration's I/O
-        # callbacks and timers goes out in one crypto+syscall burst.
+        # Wire-batch drain: this iteration's pump kicks run once per
+        # session, and everything they send goes out in one syscall burst.
         self._timers.flush()
 
     def run_for(self, duration_ms: float, max_wait_ms: float = 20.0) -> None:

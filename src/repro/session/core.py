@@ -125,6 +125,13 @@ class ServerCore:
             self._pump.kick()
         self._arm_echo_ack()
 
+    def close(self) -> None:
+        """Stop the session: no datagram is sent and no timer stays armed."""
+        if self._echo_timer is not None:
+            self._echo_timer.cancel()
+            self._echo_timer = None
+        self._pump.stop()
+
     # ------------------------------------------------------------------
 
     def host_write(self, data: bytes) -> bytes:

@@ -317,10 +317,15 @@ class InProcessDaemon:
         # rx and one tx batcher, flushed at every event-loop tick boundary
         # — rx first, so a burst's replies join the same tick's outgoing
         # batch. Endpoints opt in as they are spawned (add_session).
+        # ``wire_batch=False`` is the unbatched reference side of the
+        # wire byte-identity check.
         self.tx_batcher = None
         self.rx_batcher = None
         if wire_batch:
-            self.tx_batcher = WireBatcher(registry=self.reactor.registry)
+            self.tx_batcher = WireBatcher(
+                transmit_many=self.port.transmit_many,
+                registry=self.reactor.registry,
+            )
             self.rx_batcher = RxBatcher(registry=self.reactor.registry)
             self.reactor.add_flush_hook(self.rx_batcher.flush)
             self.reactor.add_flush_hook(self.tx_batcher.flush)
@@ -357,7 +362,7 @@ class InProcessDaemon:
         cid = record.conn_id
         if self.tx_batcher is not None:
             record.endpoint.batcher = self.tx_batcher
-            record.endpoint.rx_stage = self.rx_batcher.stage
+            record.endpoint.rx_batcher = self.rx_batcher
         if self._echo:
             # Default "application": echo user bytes straight back into
             # the session's terminal, so typed markers become screen

@@ -146,12 +146,6 @@ class SimUdpEndpoint(DatagramEndpoint):
             self._side, self._local_addr, str(self._remote_addr), raw
         )
 
-    def transmit_to(self, raw: bytes, addr, now: float) -> None:
-        """Batched-flush transmit toward the address fixed at enqueue."""
-        self._network.send_datagram(
-            self._side, self._local_addr, str(addr), raw
-        )
-
     def deliver(self, raw: bytes, src_addr: str) -> None:
         """Called by the network when a datagram arrives."""
         self._handle_datagram(raw, src_addr, self._network.loop.now())
@@ -196,6 +190,13 @@ class SimMuxPort:
         self._network.send_datagram(
             SERVER_SIDE, self._local_addr, str(dst_addr), raw
         )
+
+    def transmit_many(self, sends: list) -> list[int]:
+        """Wire-batcher flush target: one link send per queued
+        ``(header, raw, addr, endpoint, now)``; none can fail."""
+        for header, raw, addr, _, now in sends:
+            self.transmit(raw if header is None else header + raw, addr, now)
+        return []
 
     def close(self) -> None:
         self._network.unregister(self._local_addr)

@@ -470,6 +470,69 @@ class TestManySessionsOnePort:
         assert counters["daemon.no_route"] == 0
 
 
+class TestCloseSilencesSession:
+    """A closed session sends nothing more and keeps no armed timer.
+
+    Its heartbeats would keep the client's ``last_heard`` fresh, so the
+    client could never notice the teardown.
+    """
+
+    def make_daemon(self):
+        from repro.session.inprocess import InProcessDaemon
+        from repro.simnet import LinkConfig
+
+        daemon = InProcessDaemon(
+            LinkConfig(delay_ms=20),
+            LinkConfig(delay_ms=20),
+            sessions=2,
+            width=20,
+            height=4,
+            seed=1,
+        )
+        daemon.connect(warmup_ms=2000)
+        return daemon
+
+    def assert_silent(self, daemon, record, sent_at_close):
+        assert record.state == "closed"
+        assert record.endpoint.datagrams_sent == sent_at_close
+        assert record.core.pump._timer is None
+        assert record.core._echo_timer is None
+        assert record.reap_timer is None
+        # The other session is untouched.
+        daemon.client(2).type_bytes(b"#2#")
+        daemon.run_for(2000)
+        assert "#2#" in daemon.record(2).core.terminal.fb.screen_text()
+
+    def test_close_stops_heartbeats(self):
+        daemon = self.make_daemon()
+        record = daemon.record(1)
+        sent = record.endpoint.datagrams_sent
+        assert daemon.manager.close(1)
+        assert record.core.pump._timer is None
+        daemon.run_for(30_000)
+        self.assert_silent(daemon, record, sent)
+
+    def test_close_with_a_kick_pending_in_the_tick(self):
+        daemon = self.make_daemon()
+        record = daemon.record(1)
+        handler = daemon.port.handler
+        closed = []
+
+        def dispatch_then_close(raw, src, now):
+            handler(raw, src, now)
+            if not closed and src == "client-1" and len(daemon.rx_batcher):
+                # Client 1's datagram is accepted and its pump kick still
+                # waits for the tick's flush: close before the flush.
+                closed.append(record.endpoint.datagrams_sent)
+                daemon.manager.close(1)
+
+        daemon.port.handler = dispatch_then_close
+        daemon.client(1).type_bytes(b"x")
+        daemon.run_for(30_000)
+        assert closed
+        self.assert_silent(daemon, record, closed[0])
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"),
     reason="pty/UDP tests are Linux-only",

@@ -1,14 +1,16 @@
-"""The batched wire path: per-flush seal/unseal, tick-boundary
-flush hooks, syscall batching, and the contracts that keep batching
-byte-identical to the inline path (ordering, partial-failure fates,
-zero-copy staging)."""
+"""The batched wire path: the per-datagram seal/unseal helpers,
+tick-boundary flush hooks, syscall batching, and the contracts that keep
+batching byte-identical to the inline path (ordering, partial-failure
+fates, destinations fixed at send, zero-copy receive views)."""
 
+import hashlib
 import socket
 import time
 
 import pytest
 
 from repro.clock import SimulatedClock
+from repro.analysis.flight import analyze, check
 from repro.crypto.keys import DIRECTION_TO_SERVER, Base64Key, Nonce
 from repro.crypto.session import (
     Message,
@@ -25,7 +27,9 @@ from repro.network.interface import DatagramEndpoint
 from repro.network.packet import TIMESTAMP_NONE, Packet, encode_conn_id
 from repro.obs.flight import FlightRecorder
 from repro.runtime.reactor import RealReactor
+from repro.session.inprocess import InProcessDaemon
 from repro.simnet.eventloop import EventLoop
+from repro.simnet.link import LinkConfig
 from tests.test_crypto_backend import PureBackend
 
 
@@ -52,9 +56,6 @@ class RecordingEndpoint(DatagramEndpoint):
         self.set_remote_addr("peer")
 
     def _transmit(self, raw, now):
-        self.wire.append(raw)
-
-    def transmit_to(self, raw, addr, now):
         self.wire.append(raw)
 
 
@@ -209,8 +210,9 @@ class TestUnsealManyParityPureBackend(PureBackend, TestUnsealManyParity):
 
 
 # ----------------------------------------------------------------------
-# S2 — the framed receive path hands zero-copy views through to the
-# batched unseal; nothing delivered may alias the receive slot.
+# S2 — the framed receive path unseals zero-copy views of the receive
+# slot inline; nothing delivered may alias the slot, and the rx batcher
+# only coalesces the pump kicks.
 # ----------------------------------------------------------------------
 
 
@@ -222,7 +224,7 @@ class TestRxStageZeroCopy:
             server, client = _keyed_pair()
             endpoint = RecordingEndpoint(session=server)
             endpoint.set_conn_id(i + 1)
-            endpoint.rx_stage = rx.stage
+            endpoint.rx_batcher = rx
             nonce, text = _plaintext(payload=b"pay-%d" % i)
             raw = encode_conn_id(i + 1) + client.encrypt(
                 Message(nonce=nonce, text=text)
@@ -235,18 +237,11 @@ class TestRxStageZeroCopy:
             payloads.append(b"pay-%d" % i)
             slots.append(slot)
         assert len(rx) == 3
-        for (_, body, framed, _, _), slot in zip(rx._staged, slots):
-            # No copy between the socket slot and the unseal: the staged
-            # body is a window into the very buffer the datagram landed in.
-            assert isinstance(body, memoryview)
-            assert body.obj is slot
-            assert framed is True
-        assert rx.flush() == 3
-        delivered = [ep.pop_received() for ep in endpoints]
-        assert delivered == [[p] for p in payloads]
         # Receive slots are reused; delivered payloads must survive that.
         for slot in slots:
             slot[:] = bytes(len(slot))
+        assert rx.flush() == 3
+        delivered = [ep.pop_received() for ep in endpoints]
         assert delivered == [[p] for p in payloads]
         assert all(isinstance(d[0], bytes) for d in delivered)
 
@@ -254,7 +249,7 @@ class TestRxStageZeroCopy:
         rx = RxBatcher()
         server, client = _keyed_pair()
         endpoint = RecordingEndpoint(session=server)
-        endpoint.rx_stage = rx.stage
+        endpoint.rx_batcher = rx
         kicks = []
         endpoint.on_datagram = lambda now: kicks.append(("one", now))
         endpoint.on_datagram_count = lambda now, n: kicks.append((n, now))
@@ -263,6 +258,7 @@ class TestRxStageZeroCopy:
             endpoint._handle_datagram(
                 client.encrypt(Message(nonce=nonce, text=text)), "a", now=7.0
             )
+        assert kicks == []
         rx.flush()
         assert kicks == [(3, 7.0)]
         assert len(endpoint.pop_received()) == 3
@@ -301,7 +297,6 @@ class TestWireBatcherOrdering:
         seqs_a = [e["seq"] for e in a.flight.events("send")]
         seqs_b = [e["seq"] for e in b.flight.events("send")]
         assert seqs_a == [0, 1, 2] and seqs_b == [0, 1]
-        assert all(e["bsz"] == 5 for e in a.flight.events("send"))
 
     def test_partial_failure_fate_partition(self):
         delivered = []
@@ -336,6 +331,34 @@ class TestWireBatcherOrdering:
             else:
                 assert drops == []
 
+    def test_roam_mid_tick_keeps_queued_destination(self):
+        sent = []
+
+        def transmit_many(sends):
+            sent.extend((addr, raw) for _, raw, addr, _, _ in sends)
+            return []
+
+        batcher = WireBatcher(transmit_many=transmit_many)
+        server, client = _keyed_pair()
+        endpoint = RecordingEndpoint(session=server)
+        endpoint.batcher = batcher
+        endpoint.send(b"before", now=0.0)
+        # An authentic datagram from a new address lands in the same tick.
+        nonce, text = _plaintext(seq=0)
+        endpoint._handle_datagram(
+            client.encrypt(Message(nonce=nonce, text=text)), "roamed", now=0.0
+        )
+        assert endpoint.remote_addr == "roamed"
+        endpoint.send(b"after", now=0.0)
+        assert batcher.flush() == 2
+        assert [addr for addr, _ in sent] == ["peer", "roamed"]
+        payloads = []
+        for _, raw in sent:
+            message = client.decrypt(raw)
+            packet = Packet.from_plaintext(message.nonce, message.text)
+            payloads.append(packet.payload)
+        assert payloads == [b"before", b"after"]
+
     def test_counters_move_at_enqueue(self):
         batcher = WireBatcher(transmit_many=lambda sends: [])
         endpoint = self._endpoint("c")
@@ -344,6 +367,64 @@ class TestWireBatcherOrdering:
         assert endpoint.datagrams_sent == 1
         assert endpoint.bytes_sent > 0
         assert len(batcher) == 1
+
+
+# ----------------------------------------------------------------------
+# End to end: the batched daemon puts exactly the unbatched daemon's
+# datagrams on the wire, and both sides' flight recordings stay exact.
+# ----------------------------------------------------------------------
+
+
+class TestBatchedWireIdentity:
+    SESSIONS = 8
+
+    def _run(self, wire_batch):
+        daemon = InProcessDaemon(
+            LinkConfig(delay_ms=10),
+            LinkConfig(delay_ms=10),
+            sessions=0,
+            width=40,
+            height=8,
+            seed=11,
+            wire_batch=wire_batch,
+        )
+        for i in range(self.SESSIONS):
+            daemon.add_session(
+                key=Base64Key(hashlib.sha256(b"identity-%d" % i).digest()[:16])
+            )
+        wire = []
+        inner = daemon.network.send_datagram
+
+        def tap(from_side, src, dst, raw):
+            wire.append((daemon.loop.now(), from_side, src, dst, bytes(raw)))
+            inner(from_side, src, dst, raw)
+
+        daemon.network.send_datagram = tap
+        daemon.connect(warmup_ms=1500)
+        for rnd in range(3):
+            for cid in daemon.conn_ids:
+                daemon.client(cid).type_bytes(b"k%d" % rnd)
+            daemon.run_for(500)
+        daemon.run_for(2000)
+        # Independent sessions' datagrams may interleave differently
+        # within one simulated instant, so compare the sorted multiset.
+        digest = hashlib.sha256()
+        for now, side, src, dst, raw in sorted(wire):
+            digest.update(f"{now:.3f}|{side}|{src}|{dst}|".encode() + raw)
+        return daemon, len(wire), digest.hexdigest()
+
+    def test_batched_wire_matches_unbatched(self):
+        batched, n_batched, sha_batched = self._run(wire_batch=True)
+        unbatched, n_unbatched, sha_unbatched = self._run(wire_batch=False)
+        assert n_batched == n_unbatched > 0
+        assert sha_batched == sha_unbatched
+        for daemon in (batched, unbatched):
+            for cid in daemon.conn_ids:
+                report = analyze(
+                    daemon.client_flights[cid].recording(),
+                    daemon.server_flights[cid].recording(),
+                )
+                assert check(report) == [], (cid, check(report))
 
 
 # ----------------------------------------------------------------------
@@ -582,8 +663,8 @@ class TestRealReactorFlushHooks(TestEventLoopFlushHooks):
 
 
 # ----------------------------------------------------------------------
-# Legacy v1 routing needs an immediate unseal verdict: deliver_now must
-# bypass (and then restore) the staged receive path.
+# Legacy v1 routing reads the unseal verdict as soon as delivery returns;
+# with an rx batcher attached only the pump kick waits for the flush.
 # ----------------------------------------------------------------------
 
 
@@ -602,17 +683,13 @@ class TestDeliverNowLegacyRouting:
         e1 = mux.open_endpoint(s1, conn_id=1)
         mux.open_endpoint(s2, conn_id=2)
         rx = RxBatcher()
-        stage = rx.stage
         for conn_id in (1, 2):
-            mux.endpoint(conn_id).rx_stage = stage
-        # Unknown source: the probe path claims it; delivery may stage.
+            mux.endpoint(conn_id).rx_batcher = rx
+        # Unknown source: the probe path claims it, payload queued now.
         assert mux.dispatch(self._legacy_datagram(c1, 0), "addr-a") is e1
-        rx.flush()
         assert e1.pop_received() == [b"v1"]
-        # Known source: routing reads the unseal verdict immediately, so
-        # delivery must run inline — nothing staged, payload available now.
+        # Known source: routing read the verdict, payload queued now.
         assert mux.dispatch(self._legacy_datagram(c1, 1), "addr-a") is e1
-        assert len(rx) == 0
         assert e1.pop_received() == [b"v1"]
-        # The staged path is restored for regular v2 traffic afterwards.
-        assert e1.rx_stage is stage
+        assert len(rx) == 2
+        assert rx.flush() == 2
