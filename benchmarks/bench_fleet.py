@@ -60,7 +60,6 @@ sys.path.insert(
 )
 
 from repro.obs import HealthMonitor, default_fleet_ruleset  # noqa: E402
-from repro.obs.keystroke import ECHO_GRID  # noqa: E402
 from repro.obs.registry import Histogram  # noqa: E402
 from repro.session.inprocess import InProcessDaemon  # noqa: E402
 from repro.simnet.link import LinkConfig  # noqa: E402
@@ -233,12 +232,7 @@ def _pooled_echo_quantiles(daemon, active_ids):
         (f"keystroke.c{cid}.echo_ms" for cid in active_ids),
         name="fleet.echo_ms",
     )
-    if pooled is None:  # nobody typed: an empty histogram on the echo grid
-        low, high, buckets = ECHO_GRID
-        pooled = Histogram(
-            "fleet.echo_ms", low=low, high=high, buckets=buckets, unit="ms"
-        )
-    return pooled
+    return pooled if pooled is not None else Histogram("fleet.echo_ms")
 
 
 def _detach_fleet(daemon):

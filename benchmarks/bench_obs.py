@@ -76,7 +76,7 @@ def bench_obs_counter_inc(iters: int) -> float:
 
 
 def bench_obs_hist_record(iters: int) -> float:
-    hist = Histogram("bench.hist", low=0.01, high=60_000.0)
+    hist = Histogram("bench.hist")
     values = [0.3, 1.7, 12.0, 85.0, 430.0]
     n = len(values)
     state = [0]

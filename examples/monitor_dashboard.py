@@ -38,9 +38,8 @@ def render_histogram(summary: dict, width: int = 40) -> list[str]:
     peak = max(count for _, count in buckets)
     lines = []
     for bound, count in buckets:
-        label = "     +inf" if bound == "inf" else f"{float(bound):9.1f}"
         bar = "#" * max(1, round(width * count / peak))
-        lines.append(f"   <{label} {summary['unit']} | {bar} {count}")
+        lines.append(f"   <={bound:9.1f} {summary['unit']} | {bar} {count}")
     return lines
 
 
@@ -187,19 +186,18 @@ FLEET_COLLAPSE_THRESHOLD = 32
 def _pooled_keystrokes(hists: dict, conn_ids):
     """Pool the per-session echo summaries via the public registry API.
 
-    Every ``keystroke.c<id>.echo_ms`` histogram lives on the shared
-    :data:`~repro.obs.ECHO_GRID`, so the snapshot document's summaries
-    reconstruct and merge into one fleet-wide Histogram with real
-    percentile accessors — no hand-rolled bucket math.
+    Every histogram lives on one global grid, so the snapshot
+    document's summaries reconstruct and merge into one fleet-wide
+    Histogram with real percentile accessors — no hand-rolled bucket math.
     """
-    from repro.obs import ECHO_GRID, merge_summaries
+    from repro.obs import merge_summaries
 
     summaries = [
         hists[f"keystroke.c{cid}.echo_ms"]
         for cid in conn_ids
         if f"keystroke.c{cid}.echo_ms" in hists
     ]
-    return merge_summaries(summaries, *ECHO_GRID)
+    return merge_summaries(summaries)
 
 
 def daemon_panel(sessions: int = 4) -> None:

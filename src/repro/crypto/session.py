@@ -96,14 +96,8 @@ class CryptoStats:
         self.replay_drops = 0
         # Wall-clock cost of each seal/unseal in microseconds (CPU cost,
         # deliberately wall-time even on simulated-clock sessions).
-        # 1 µs .. 1 s spans the native backend through the pure-Python
-        # kernel at large payloads.
-        self.seal_us = Histogram(
-            "crypto.seal_us", low=1.0, high=1_000_000.0, unit="us"
-        )
-        self.unseal_us = Histogram(
-            "crypto.unseal_us", low=1.0, high=1_000_000.0, unit="us"
-        )
+        self.seal_us = Histogram("crypto.seal_us", unit="us")
+        self.unseal_us = Histogram("crypto.unseal_us", unit="us")
         # Most recent per-datagram cost, read by the causal tracer to
         # carve crypto CPU out of a keystroke's stage timeline. Plain
         # floats, always maintained — the histograms above gate on the

@@ -64,9 +64,7 @@ class _TickBatcher:
             registry = MetricsRegistry()
         self._flushes = registry.counter(f"wire.{prefix}_flushes")
         self._datagrams = registry.counter(f"wire.{prefix}_datagrams")
-        self._batch_hist = registry.histogram(
-            f"wire.{prefix}_batch", low=1.0, high=4096.0, unit="datagrams"
-        )
+        self._batch_hist = registry.histogram(f"wire.{prefix}_batch", unit="datagrams")
 
     def _metered(self, n: int) -> int:
         self._flushes.value += 1

@@ -3,10 +3,11 @@
 One subsystem, three instruments, wired through every layer of the
 runtime:
 
-* :class:`MetricsRegistry` — named counters, gauges, and fixed-bucket
-  log-spaced latency histograms (p50/p95/p99 accessors), cheap enough to
-  stay always-on in the seal/unseal and per-frame hot paths. Reactors own
-  one; :class:`~repro.runtime.ReactorMetrics` is now a thin view over it.
+* :class:`MetricsRegistry` — named counters, gauges, and latency
+  histograms on one global 1 % log grid (p50/p95/p99 accessors), cheap
+  enough to stay always-on in the seal/unseal and per-frame hot paths.
+  Reactors own one; :class:`~repro.runtime.ReactorMetrics` is now a
+  thin view over it.
 * :class:`SpanTracer` — ``with tracer.span("seal")`` context managers
   timed against the owning reactor's clock (simulated or wall), kept in a
   bounded ring and exportable as Chrome ``trace_event`` JSON or JSONL.
@@ -28,7 +29,6 @@ suite uses to measure instrumentation overhead A/B.
 
 from repro.obs.causal import (
     CAUSAL_SCHEMA,
-    STAGE_GRID,
     STAGES,
     CausalTracer,
     ServerStageTracker,
@@ -50,7 +50,7 @@ from repro.obs.health import (
     HealthRule,
     default_fleet_ruleset,
 )
-from repro.obs.keystroke import ECHO_GRID, KeystrokeLatencyTracker
+from repro.obs.keystroke import KeystrokeLatencyTracker
 from repro.obs.registry import (
     DELTA_SCHEMA,
     SNAPSHOT_SCHEMA,
@@ -75,12 +75,10 @@ from repro.obs.trace import SpanTracer
 __all__ = [
     "CAUSAL_SCHEMA",
     "DELTA_SCHEMA",
-    "ECHO_GRID",
     "FLIGHT_SCHEMA",
     "HEALTH_SCHEMA",
     "SNAPSHOT_SCHEMA",
     "STAGES",
-    "STAGE_GRID",
     "CausalTracer",
     "ClockOffsetEstimator",
     "Counter",

@@ -338,7 +338,7 @@ def default_fleet_ruleset(slo_p95_ms: float = 600.0) -> list[HealthRule]:
 
     * ``echo_p95`` — fleet-pooled keystroke echo p95 against the SLO
       (warn at the SLO itself, critical at 2x; the committed fleet bench
-      sits around 440 ms, so warn has real headroom).
+      sits at 424–450 ms, so warn has real headroom).
     * ``auth_burn`` / ``replay_burn`` / ``framing_burn`` — wire-integrity
       counters moving at all is suspicious; sustained movement is an
       active attack or a seriously misbehaving peer.

@@ -2,8 +2,8 @@
 
 Every instrument is a tiny mutable object designed to stay always-on in
 the hot paths: a counter increment is one attribute add, a histogram
-record is one list append (samples are bucketed into precomputed
-log-spaced bounds a sorted batch at a time). A
+record is one list append (samples are bucketed onto one global 1 %
+log grid a sorted batch at a time). A
 :class:`MetricsRegistry` names and aggregates instruments so one
 ``snapshot()`` call renders the whole runtime — reactor, transport,
 crypto, prediction, simulated links — as a single JSON document.
@@ -24,7 +24,7 @@ existing behaviour depends on them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fnmatch import fnmatchcase
 from typing import Callable, Iterable
 
@@ -41,6 +41,19 @@ DELTA_SCHEMA = "repro.obs.delta/1"
 #: cost, which at 64 samples was still a visible share of a ~2 µs
 #: native seal.
 _FOLD_BATCH = 256
+
+#: The one histogram grid (DDSketch-style; Masson, Rim & Lee, VLDB 2019):
+#: bucket ``i`` holds the samples in ``(GAMMA**(i-1), GAMMA**i]``, so its
+#: representative ``2*GAMMA**i/(GAMMA+1)`` is within ALPHA of each of them.
+ALPHA = 0.01
+GAMMA = (1 + ALPHA) / (1 - ALPHA)
+_LN_GAMMA = math.log(GAMMA)
+_MID = 2.0 / (GAMMA + 1.0)
+
+#: Samples at or below 1e-9 (the simulator's zero timer lags) share the
+#: floor bucket, the first whose bound reaches 1e-9.
+_FLOOR = math.ceil(math.log(1e-9) / _LN_GAMMA)
+_FLOOR_BOUND = GAMMA**_FLOOR
 
 _enabled = True
 
@@ -98,46 +111,28 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed log-spaced buckets with quantile accessors.
+    """Bucket counts on the one global :data:`GAMMA` grid, with quantiles.
 
-    Bucket bounds are precomputed at construction: ``buckets`` bounds
-    spaced geometrically across ``[low, high]``, plus an overflow bucket.
+    Counts live in a sparse ``{i: count}`` dict, so any two histograms of
+    one unit merge. A quantile is the representative of the bucket
+    holding the nearest-rank target, clamped into ``[min, max]``: within
+    :data:`ALPHA` (1 %) of the true nearest-rank sample. The top rank
+    reads the observed maximum, so ``percentile(100)`` is exact.
+
     Recording appends to a small buffer; every :data:`_FOLD_BATCH`
     samples (and before any read) the buffer is sorted and bucketed with
-    one ``bisect`` per bucket it spans, so the histogram can sit directly
+    one ``bisect`` per occupied bucket, so the histogram can sit directly
     on the seal/unseal and keystroke paths. Counts, min and max are
     exactly those of per-sample recording (the sum up to float rounding).
-    Quantiles are answered from the bucket counts using each bucket's
-    geometric midpoint, which is exact to within one bucket's ratio
-    (≈12 % at the default resolution) — plenty for latency distributions
-    spanning decades.
     """
 
-    __slots__ = ("name", "unit", "_bounds", "_counts", "_count", "_total",
-                 "_min", "_max", "_pending")
+    __slots__ = ("name", "unit", "_counts", "_count", "_total", "_min",
+                 "_max", "_pending")
 
-    def __init__(
-        self,
-        name: str,
-        low: float,
-        high: float,
-        buckets: int = 48,
-        unit: str = "ms",
-    ) -> None:
-        if low <= 0 or high <= low:
-            raise ObservabilityError(
-                f"histogram {name!r} needs 0 < low < high, got [{low}, {high}]"
-            )
-        if buckets < 2:
-            raise ObservabilityError(f"histogram {name!r} needs >= 2 buckets")
+    def __init__(self, name: str, unit: str = "ms") -> None:
         self.name = name
         self.unit = unit
-        ratio = (high / low) ** (1.0 / (buckets - 1))
-        self._bounds = [low * ratio**i for i in range(buckets)]
-        self._counts = [0] * (buckets + 1)  # +1 overflow bucket
-        self._clear()
-
-    def _clear(self) -> None:
+        self._counts: dict[int, int] = {}
         self._count = 0
         self._total = 0.0
         self._min = math.inf
@@ -159,25 +154,21 @@ class Histogram:
         if not pending:
             return
         self._pending = []
-        self._count += len(pending)
+        n = len(pending)
+        self._count += n
         self._total = sum(pending, self._total)
         pending.sort()
-        lo, hi = pending[0], pending[-1]
-        bounds, counts = self._bounds, self._counts
-        # Bucket i holds bounds[i-1] <= v < bounds[i] (bisect_right).
-        i = bisect_right(bounds, lo)
-        last = bisect_right(bounds, hi)
+        counts = self._counts
         start = 0
-        while i < last:
-            end = bisect_left(pending, bounds[i], start)
-            counts[i] += end - start
+        while start < n:
+            i = _bucket(pending[start])
+            end = bisect_right(pending, GAMMA**i, start)
+            counts[i] = counts.get(i, 0) + end - start
             start = end
-            i += 1
-        counts[last] += len(pending) - start
-        if lo < self._min:
-            self._min = lo
-        if hi > self._max:
-            self._max = hi
+        if pending[0] < self._min:
+            self._min = pending[0]
+        if pending[-1] > self._max:
+            self._max = pending[-1]
 
     # -- accessors ------------------------------------------------------
 
@@ -206,28 +197,30 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """Approximate p-th percentile (0 < p <= 100) from the buckets."""
+        """The p-th percentile (0 < p <= 100), within 1 % of the sample."""
         if not 0.0 < p <= 100.0:
             raise ObservabilityError(f"percentile {p} outside (0, 100]")
-        if self.count == 0:
-            return 0.0
-        target = math.ceil(self.count * (p / 100.0))
-        seen = 0
-        for i, n in enumerate(self._counts):
-            seen += n
-            if seen >= target:
-                return self._bucket_mid(i)
-        return self._bucket_mid(len(self._counts) - 1)
+        return self._quantiles(self.nonzero_buckets(), (p,))[0]
 
-    def _bucket_mid(self, index: int) -> float:
-        bounds = self._bounds
-        if index == 0:
-            # Underflow bucket: everything below the lowest bound.
-            return bounds[0]
-        if index >= len(bounds):
-            # Overflow bucket: report the observed maximum.
-            return self.max
-        return math.sqrt(bounds[index - 1] * bounds[index])
+    def _quantiles(self, buckets: list, ps: tuple) -> list[float]:
+        """Nearest-rank quantiles for ascending ``ps``, one cumulative walk."""
+        count = self._count
+        if not count:
+            return [0.0] * len(ps)
+        out = []
+        seen = k = 0
+        for p in ps:
+            target = math.ceil(count * (p / 100.0))
+            while seen < target:
+                bound, n = buckets[k]
+                seen += n
+                k += 1
+            # The top rank is the observed maximum itself, known exactly.
+            if target >= count:
+                out.append(self._max)
+            else:
+                out.append(min(max(bound * _MID, self._min), self._max))
+        return out
 
     @property
     def p50(self) -> float:
@@ -242,91 +235,37 @@ class Histogram:
         return self.percentile(99.0)
 
     def summary(self) -> dict:
-        """The snapshot form: counts, moments, and standard quantiles.
-
-        One pass over the counts serves all three quantiles and the
-        sparse bucket list — a changed histogram is re-summarized on
-        every delta-feed collect, so the 4x cumulative walk matters.
-        """
-        count = self.count
-        quantiles = [0.0, 0.0, 0.0]
-        targets = (
-            [math.ceil(count * 0.50), math.ceil(count * 0.95),
-             math.ceil(count * 0.99)]
-            if count
-            else []
-        )
-        buckets: list[list[float]] = []
-        bounds = self._bounds
-        nbounds = len(bounds)
-        seen = 0
-        qi = 0
-        for i, n in enumerate(self._counts):
-            if n == 0:
-                continue
-            seen += n
-            bound = bounds[i] if i < nbounds else math.inf
-            buckets.append(
-                [round(bound, 4) if bound != math.inf else "inf", n]
-            )
-            while qi < 3 and targets and seen >= targets[qi]:
-                quantiles[qi] = self._bucket_mid(i)
-                qi += 1
+        """The snapshot form: counts, moments, and standard quantiles."""
+        buckets = self.nonzero_buckets()
+        count = self._count
+        p50, p95, p99 = self._quantiles(buckets, (50.0, 95.0, 99.0))
         return {
             "unit": self.unit,
             "count": count,
-            "sum": round(self.total, 3),
-            "min": round(self.min, 3) if count else 0.0,
-            "max": round(self.max, 3),
+            "sum": round(self._total, 3),
+            "min": round(self._min, 3) if count else 0.0,
+            "max": round(self._max, 3),
             "mean": round(self.mean, 3),
-            "p50": round(quantiles[0], 3),
-            "p95": round(quantiles[1], 3),
-            "p99": round(quantiles[2], 3),
+            "p50": round(p50, 3),
+            "p95": round(p95, 3),
+            "p99": round(p99, 3),
             "buckets": buckets,
         }
 
     def nonzero_buckets(self) -> list[list[float]]:
-        """Sparse [upper_bound, count] pairs (overflow bound is +inf)."""
+        """Sparse ``[upper_bound, count]`` pairs, bounds the exact γ^i."""
         self._fold()
-        out: list[list[float]] = []
-        for i, n in enumerate(self._counts):
-            if n == 0:
-                continue
-            bound = (
-                self._bounds[i] if i < len(self._bounds) else math.inf
-            )
-            out.append([round(bound, 4) if bound != math.inf else "inf", n])
-        return out
+        return [[GAMMA**i, n] for i, n in sorted(self._counts.items())]
 
     # -- pooling --------------------------------------------------------
 
-    def clone_empty(self, name: str | None = None) -> "Histogram":
-        """A zero-sample histogram on exactly this bucket grid.
-
-        Copies the precomputed bounds instead of re-deriving them from
-        ``(low, high, buckets)``, so a merge between the clone and the
-        original can compare grids by equality without float drift.
-        """
-        other = Histogram.__new__(Histogram)
-        other.name = name if name is not None else f"{self.name}.pooled"
-        other.unit = self.unit
-        other._bounds = list(self._bounds)
-        other._counts = [0] * len(self._counts)
-        other._clear()
-        return other
-
     def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s samples into this histogram (same grid only).
+        """Fold ``other``'s samples into this histogram (same unit only).
 
         The public replacement for reaching into ``_counts``: pooled fleet
         quantiles come from merging the per-session histograms into one
         and asking it for percentiles. Returns ``self`` for chaining.
         """
-        if other._bounds != self._bounds:
-            raise ObservabilityError(
-                f"cannot merge {other.name!r} into {self.name!r}: "
-                "bucket grids differ"
-            )
         if other.unit != self.unit:
             raise ObservabilityError(
                 f"cannot merge {other.name!r} ({other.unit}) into "
@@ -335,9 +274,8 @@ class Histogram:
         if other.count == 0:  # folds other's buffer
             return self
         counts = self._counts
-        for i, n in enumerate(other._counts):
-            if n:
-                counts[i] += n
+        for i, n in other._counts.items():
+            counts[i] = counts.get(i, 0) + n
         self._count += other._count
         self._total += other._total
         if other._min < self._min:
@@ -348,41 +286,58 @@ class Histogram:
 
     @classmethod
     def from_summary(
-        cls,
-        summary: dict,
-        low: float,
-        high: float,
-        buckets: int = 48,
-        name: str = "from_summary",
+        cls, summary: dict, name: str = "from_summary"
     ) -> "Histogram":
         """Rebuild a histogram from its :meth:`summary` dict.
 
-        The caller supplies the bucket grid parameters (a summary does
-        not carry them); sparse bucket bounds are matched back onto the
-        grid by nearest value, tolerating the 4-decimal rounding that
-        :meth:`nonzero_buckets` applies. Lets snapshot *documents* — not
-        just live instruments — be pooled, which is what a remote
-        dashboard attached over the telemetry socket works from.
+        Each emitted bound ``γ^i`` gives back its bucket index. Lets
+        snapshot *documents* — not just live instruments — be pooled,
+        which is what a remote dashboard attached over the telemetry
+        socket works from. Summaries arrive from outside the process, so
+        a bound off the grid or bucket counts that disagree with
+        ``count`` raise :class:`ObservabilityError`.
         """
-        hist = cls(name, low, high, buckets, unit=summary.get("unit", "ms"))
-        rounded = [round(b, 4) for b in hist._bounds]
+        hist = cls(name, unit=summary.get("unit", "ms"))
+        counts = hist._counts
         for bound, n in summary.get("buckets", []):
-            if bound == "inf":
-                index = len(hist._bounds)
-            else:
-                index = bisect_right(rounded, float(bound)) - 1
-                if index < 0 or abs(rounded[index] - float(bound)) > 1e-4:
-                    raise ObservabilityError(
-                        f"summary bucket bound {bound} not on the "
-                        f"[{low}, {high}]x{buckets} grid"
-                    )
-            hist._counts[index] += int(n)
+            try:
+                value = float(bound)
+                i = round(math.log(value) / _LN_GAMMA)
+                on_grid = i >= _FLOOR and math.isclose(
+                    value, GAMMA**i, rel_tol=1e-9
+                )
+            except (TypeError, ValueError, OverflowError):
+                on_grid = False
+            if not on_grid:
+                raise ObservabilityError(
+                    f"summary bucket bound {bound!r} is not a positive "
+                    "bound on the histogram grid"
+                )
+            counts[i] = counts.get(i, 0) + int(n)
         hist._count = int(summary.get("count", 0))
+        if sum(counts.values()) != hist._count:
+            raise ObservabilityError(
+                f"summary bucket counts sum to {sum(counts.values())}, "
+                f"not its count {hist._count}"
+            )
         hist._total = float(summary.get("sum", 0.0))
         if hist._count:
             hist._min = float(summary.get("min", 0.0))
             hist._max = float(summary.get("max", 0.0))
         return hist
+
+
+def _bucket(value: float) -> int:
+    """The grid index ``i`` with ``γ^(i-1) < value <= γ^i``, floor-clamped."""
+    if value <= _FLOOR_BOUND:
+        return _FLOOR
+    i = math.ceil(math.log(value) / _LN_GAMMA)
+    # The log can land one off right next to a bound; the bounds decide.
+    if value > GAMMA**i:
+        return i + 1
+    if value <= GAMMA ** (i - 1):
+        return i - 1
+    return i
 
 
 class MetricsRegistry:
@@ -406,18 +361,9 @@ class MetricsRegistry:
             gauge.fn = fn
         return gauge
 
-    def histogram(
-        self,
-        name: str,
-        low: float = 0.01,
-        high: float = 60_000.0,
-        buckets: int = 48,
-        unit: str = "ms",
-    ) -> Histogram:
-        """Get or create a log-bucket histogram spanning [low, high]."""
-        return self._get_or_make(
-            name, Histogram, lambda: Histogram(name, low, high, buckets, unit)
-        )
+    def histogram(self, name: str, unit: str = "ms") -> Histogram:
+        """Get or create the histogram called ``name``."""
+        return self._get_or_make(name, Histogram, lambda: Histogram(name, unit))
 
     def _get_or_make(self, name, kind, make):
         existing = self._instruments.get(name)
@@ -469,7 +415,7 @@ class MetricsRegistry:
     def pool_histograms(
         self, names: str | Iterable[str], name: str = "pooled"
     ) -> Histogram | None:
-        """Merge same-grid histograms into one (a glob pattern or names).
+        """Merge histograms into one (a glob pattern or names).
 
         Returns a fresh pooled :class:`Histogram` — the registry's own
         instruments are untouched — or ``None`` when nothing matched.
@@ -484,7 +430,7 @@ class MetricsRegistry:
             if not isinstance(inst, Histogram):
                 continue
             if base is None:
-                base = inst.clone_empty(name)
+                base = Histogram(name, inst.unit)
             if inst.count:
                 base.merge(inst)
         return base
@@ -554,30 +500,20 @@ def validate_snapshot(doc: object) -> None:
 
 
 def merge_summaries(
-    summaries: Iterable[dict],
-    low: float,
-    high: float,
-    buckets: int = 48,
-    name: str = "pooled",
+    summaries: Iterable[dict], name: str = "pooled"
 ) -> Histogram:
-    """Pool histogram *summary dicts* (one bucket grid) into a Histogram.
+    """Pool histogram *summary dicts* into one Histogram.
 
     The document-level sibling of :meth:`MetricsRegistry.pool_histograms`:
     dashboards that only hold a snapshot JSON — not live instruments —
-    reconstruct each summary onto the shared grid and merge. An empty
-    iterable yields an empty histogram.
+    rebuild each summary and merge. An empty iterable yields an empty
+    histogram.
     """
     pooled: Histogram | None = None
     for summary in summaries:
-        hist = Histogram.from_summary(summary, low, high, buckets)
-        if pooled is None:
-            pooled = hist
-            pooled.name = name
-        else:
-            pooled.merge(hist)
-    if pooled is None:
-        pooled = Histogram(name, low, high, buckets)
-    return pooled
+        hist = Histogram.from_summary(summary, name=name)
+        pooled = hist if pooled is None else pooled.merge(hist)
+    return pooled if pooled is not None else Histogram(name)
 
 
 class SnapshotDelta:

@@ -144,8 +144,6 @@ def render_prometheus(doc: dict) -> str:
                 continue
             cumulative = 0
             for bound, count in payload["buckets"]:
-                if bound == "inf":
-                    continue
                 cumulative += count
                 lines.append(
                     f'{metric}_bucket{{{labels},le="{_fmt(bound)}"}} '

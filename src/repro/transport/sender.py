@@ -100,9 +100,7 @@ class TransportSender(Generic[S]):
         # Observed pacing: gap between consecutive outgoing instructions.
         # The paper's frame rate floors at SRTT/2 (capped 20..250 ms), so
         # the histogram shows whether pacing actually tracked the path.
-        self.frame_interval = Histogram(
-            "sender.frame_interval_ms", low=0.1, high=60_000.0, unit="ms"
-        )
+        self.frame_interval = Histogram("sender.frame_interval_ms")
         self._last_instruction_at: float | None = None
         # (time, num, diff len) ring buffer so long recording sessions
         # cannot grow memory without bound.

@@ -15,6 +15,7 @@ from repro.obs import (
     HEALTH_SCHEMA,
     HealthMonitor,
     HealthRule,
+    KeystrokeLatencyTracker,
     SnapshotDelta,
     TelemetryServer,
     apply_delta,
@@ -24,7 +25,6 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.obs import telemetry
-from repro.obs.keystroke import ECHO_GRID
 from repro.obs.registry import Histogram, MetricsRegistry, validate_snapshot
 from repro.runtime.reactor import RealReactor, SimReactor
 from repro.simnet.eventloop import EventLoop
@@ -36,9 +36,7 @@ def _sample_registry() -> MetricsRegistry:
     registry.counter("server.s3.sender.fragments").inc(7)
     registry.gauge("daemon.sessions_open").set(3.0)
     registry.gauge("server.s3.network.srtt_ms").set(81.25)
-    hist = registry.histogram(
-        "keystroke.c3.echo_ms", low=1.0, high=600_000.0, unit="ms"
-    )
+    hist = registry.histogram("keystroke.c3.echo_ms")
     for value in (12.0, 55.0, 140.0, 430.0, 2900.0):
         hist.record(value)
     return registry
@@ -227,23 +225,23 @@ class TestSnapshotDelta:
 
 class TestHistogramPooling:
     def test_merge_pools_counts_and_extremes(self):
-        a = Histogram("a", low=1.0, high=1000.0, unit="ms")
-        b = a.clone_empty("b")
+        a = Histogram("a")
+        b = Histogram("b")
         for v in (2.0, 40.0):
             a.record(v)
         for v in (7.0, 900.0):
             b.record(v)
-        merged = a.clone_empty("pool").merge(a).merge(b)
+        merged = Histogram("pool").merge(a).merge(b)
         assert merged.count == 4
         assert merged.total == pytest.approx(949.0)
         assert merged.min == 2.0 and merged.max == 900.0
         assert merged.summary()["buckets"] == merge_summaries(
-            [a.summary(), b.summary()], 1.0, 1000.0
+            [a.summary(), b.summary()]
         ).summary()["buckets"]
 
     def test_merge_empty_histograms(self):
-        a = Histogram("a", low=1.0, high=1000.0)
-        b = a.clone_empty()
+        a = Histogram("a")
+        b = Histogram("b")
         assert a.merge(b).count == 0
         assert a.summary()["p95"] == 0.0
         b.record(5.0)
@@ -251,32 +249,34 @@ class TestHistogramPooling:
         assert (a.count, a.min, a.max) == (1, 5.0, 5.0)
 
     def test_merge_rejects_grid_and_unit_mismatch(self):
-        a = Histogram("a", low=1.0, high=1000.0, unit="ms")
+        a = Histogram("a", unit="ms")
         with pytest.raises(ObservabilityError):
-            a.merge(Histogram("b", low=1.0, high=2000.0, unit="ms"))
-        with pytest.raises(ObservabilityError):
-            a.merge(Histogram("c", low=1.0, high=1000.0, unit="us"))
+            a.merge(Histogram("c", unit="us"))
 
     def test_from_summary_round_trip(self):
-        low, high, buckets = ECHO_GRID
-        hist = Histogram("echo", low=low, high=high, buckets=buckets, unit="ms")
-        for v in (3.0, 3.0, 88.0, 450.0, 12_000.0, 900_000.0):  # + overflow
+        hist = Histogram("echo", unit="ms")
+        for v in (0.0, 3.0, 3.0, 88.0, 450.0, 12_000.0, 900_000.0):
             hist.record(v)
-        rebuilt = Histogram.from_summary(hist.summary(), low, high, buckets)
+        summary = json.loads(json.dumps(hist.summary()))
+        rebuilt = Histogram.from_summary(summary)
         assert rebuilt.summary() == hist.summary()
+        # Summaries arrive over sockets: bounds must sit on the grid.
+        for bad in (1.005, 0.0, -2.0, "inf", None):
+            tampered = dict(summary, buckets=[[bad, 1]], count=1)
+            with pytest.raises(ObservabilityError):
+                Histogram.from_summary(tampered)
+        with pytest.raises(ObservabilityError):  # counts disagree
+            Histogram.from_summary(dict(summary, count=summary["count"] + 1))
 
     def test_merge_summaries_empty_iterable(self):
-        pooled = merge_summaries([], 1.0, 1000.0)
+        pooled = merge_summaries([])
         assert pooled.count == 0 and pooled.summary()["p50"] == 0.0
 
     def test_registry_pool_histograms_by_pattern(self):
         registry = MetricsRegistry()
         for session in ("c1", "c2"):
-            h = registry.histogram(
-                f"keystroke.{session}.echo_ms", low=1.0, high=600_000.0, unit="ms"
-            )
-            h.record(100.0)
-        registry.histogram("other.latency_ms", low=1.0, high=600_000.0).record(9.0)
+            registry.histogram(f"keystroke.{session}.echo_ms").record(100.0)
+        registry.histogram("other.latency_ms").record(9.0)
         pooled = registry.pool_histograms("keystroke.*echo_ms")
         assert pooled.count == 2
         assert registry.pool_histograms("nothing.matches.*") is None
@@ -353,6 +353,25 @@ class TestHealthMonitor:
         monitor, clock = self._monitor(registry, default_fleet_ruleset())
         clock.tick(monitor, 6)
         assert monitor.level == "ok"
+
+    @pytest.mark.parametrize(
+        "echo_ms, level", [(612.0, "warn"), (588.0, "ok")]
+    )
+    def test_echo_p95_fires_at_the_slo_not_a_bucket_edge(self, echo_ms, level):
+        # 1.02x and 0.98x the 600 ms SLO: a coarse grid reads both alike.
+        registry = MetricsRegistry()
+        for session in ("c1", "c2", "c3"):
+            tracker = KeystrokeLatencyTracker(
+                registry, name=f"keystroke.{session}.echo_ms"
+            )
+            for index in range(7):
+                tracker.stamp(index, 1000.0 * index)
+                tracker.on_echo_ack(index, 1000.0 * index + echo_ms)
+        monitor, clock = self._monitor(registry, default_fleet_ruleset())
+        clock.tick(monitor)  # for_ticks=2: one breach is not yet an alert
+        assert monitor.level == "ok"
+        clock.tick(monitor)
+        assert monitor.level == level
 
     def test_spike_rule_fires_in_one_tick(self):
         registry = MetricsRegistry()

@@ -7,6 +7,9 @@ over a lossy link, then:
 * writes the span ring as Chrome ``trace_event`` JSON (``--trace``),
 * writes the ``repro.obs/1`` metrics snapshot (``--metrics``),
 * validates the snapshot against the schema,
+* pools each histogram family in the snapshot file (client and server
+  roles together) with ``merge_summaries``: the pooled count must be
+  the members' total and the pooled p95 at most the pooled max,
 * exports both endpoints' ``repro.obs.flight/1`` recordings as JSONL,
   schema-validates them, merges them with the flight-log analyzer, and
   writes the merged report (``--flight-report``) after asserting every
@@ -62,6 +65,7 @@ from repro.obs import (  # noqa: E402
     SnapshotDelta,
     apply_delta,
     default_fleet_ruleset,
+    merge_summaries,
     render_prometheus,
 )
 from repro.obs.flight import load_flight_log  # noqa: E402
@@ -114,6 +118,34 @@ def check(session: InProcessSession, doc: dict) -> list[str]:
 
     if doc["counters"]["crypto.auth_failures"] != 0:
         failures.append("unexpected auth failures on a clean link")
+    return failures
+
+
+def pooling_stage(doc: dict) -> list[str]:
+    """Pool each histogram family, client and server roles together.
+
+    Every histogram is on one grid, so any two of one unit merge.
+    """
+    failures: list[str] = []
+    families: dict[str, list[dict]] = {}
+    for name, summary in doc["histograms"].items():
+        family = name.removeprefix("client.").removeprefix("server.")
+        families.setdefault(family, []).append(summary)
+    for family, members in sorted(families.items()):
+        pooled = merge_summaries(members, name=family)
+        expected = sum(summary["count"] for summary in members)
+        if pooled.count != expected:
+            failures.append(
+                f"pooled {family}: count {pooled.count} != {expected}"
+            )
+        if pooled.p95 > pooled.max:
+            failures.append(
+                f"pooled {family}: p95 {pooled.p95} > max {pooled.max}"
+            )
+    print(
+        f"  pooling: {len(doc['histograms'])} histograms merged into "
+        f"{len(families)} families"
+    )
     return failures
 
 
@@ -599,12 +631,14 @@ def main(argv: list[str] | None = None) -> int:
     validate_snapshot(doc)
     # The artifact on disk must round-trip through JSON unchanged.
     with open(args.metrics, encoding="utf-8") as fh:
-        validate_snapshot(json.load(fh))
+        on_disk = json.load(fh)
+    validate_snapshot(on_disk)
     with open(args.trace, encoding="utf-8") as fh:
         chrome = json.load(fh)
     assert len(chrome["traceEvents"]) == events
 
     failures = check(session, doc)
+    failures.extend(pooling_stage(on_disk))
     failures.extend(flight_stage(session, args))
     failures.extend(daemon_stage(args))
     failures.extend(causal_stage(args))
