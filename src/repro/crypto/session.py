@@ -27,7 +27,7 @@ always encrypt.
 Both session types keep :class:`CryptoStats` instruments: counters
 (datagrams/bytes sealed and unsealed, authentication failures, replay
 drops) plus always-on seal/unseal latency histograms in microseconds,
-which the runtime bridges into the reactor's metrics registry.
+which the reactor's metrics registry reads and adopts.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class CryptoStats:
         "last_unseal_us",
     )
 
-    #: The counter names exposed by :meth:`snapshot` (the pump bridges
-    #: each of these into the reactor metrics by name).
+    #: The counter names exposed by :meth:`snapshot` (the reactor
+    #: metrics sum each of these over the fleet by name).
     COUNTER_NAMES = (
         "datagrams_sealed",
         "bytes_sealed",

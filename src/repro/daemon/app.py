@@ -206,21 +206,20 @@ class DaemonApp:
     # ------------------------------------------------------------------
 
     def integrity_summary(self) -> str:
-        """Datagram-integrity report covering every session."""
-        auth = replay = 0
-        parts = []
-        for record in self.manager.records():
-            stats = record.session.stats
-            auth += stats.auth_failures
-            replay += stats.replay_drops
-            parts.append(
-                f"{record.name}: {stats.auth_failures}/{stats.replay_drops}"
-            )
+        """Datagram-integrity report: fleet totals (closed sessions
+        included, so it holds after :meth:`shutdown`), open sessions'
+        detail."""
+        counter = self.reactor.registry.counter
+        parts = [
+            f"{r.name}: {r.session.stats.auth_failures}/{r.session.stats.replay_drops}"
+            for r in self.manager.records()
+        ]
         detail = f" ({', '.join(parts)})" if parts else ""
         return (
-            f"[repro-mosh-daemon] integrity: {auth} auth failures, "
-            f"{replay} replay drops across "
-            f"{len(parts)} sessions{detail}"
+            f"[repro-mosh-daemon] integrity: "
+            f"{counter('crypto.auth_failures').value} auth failures, "
+            f"{counter('crypto.replay_drops').value} replay drops across "
+            f"{counter('daemon.sessions_spawned').value} sessions{detail}"
         )
 
     def write_metrics(self, path: str) -> dict:

@@ -1,7 +1,8 @@
 """The metrics registry: named counters, gauges, and latency histograms.
 
 Every instrument is a tiny mutable object designed to stay always-on in
-the hot paths: a counter increment is one attribute add, a histogram
+the hot paths: a counter increment is one attribute add (a
+:class:`SourcedCounter` costs nothing until read), a histogram
 record is one list append (samples are bucketed onto one global 1 %
 log grid a sorted batch at a time). A
 :class:`MetricsRegistry` names and aggregates instruments so one
@@ -83,6 +84,27 @@ class Counter:
         self.value += amount
 
 
+class SourcedCounter(Counter):
+    """A counter that reads its source ``fn`` when read; never pushed to.
+
+    :meth:`freeze` pins the value and drops the source, so the registry
+    does not keep a closed session alive; a source bound later counts on
+    from the pinned value, so the counter never falls.
+    """
+
+    __slots__ = ("fn", "_base")
+
+    def __init__(self, name: str, fn: Callable[[], float]) -> None:
+        self.name, self.fn, self._base = name, fn, 0
+
+    @property
+    def value(self) -> float:
+        return self._base if self.fn is None else self._base + self.fn()
+
+    def freeze(self) -> None:
+        self._base, self.fn = self.value, None
+
+
 class Gauge:
     """A named instantaneous value, optionally backed by a callable.
 
@@ -108,6 +130,9 @@ class Gauge:
     @property
     def value(self) -> float:
         return float(self.fn()) if self.fn is not None else self._value
+
+    def freeze(self) -> None:
+        self._value, self.fn = self.value, None
 
 
 class Histogram:
@@ -348,9 +373,17 @@ class MetricsRegistry:
 
     # -- get-or-create --------------------------------------------------
 
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        return self._get_or_make(name, Counter, lambda: Counter(name))
+    def counter(
+        self, name: str, fn: Callable[[], float] | None = None
+    ) -> Counter:
+        """Get or create a counter; ``fn`` makes it a :class:`SourcedCounter`."""
+        if fn is None:
+            return self._get_or_make(name, Counter, lambda: Counter(name))
+        counter = self._get_or_make(name, SourcedCounter, lambda: SourcedCounter(name, fn))
+        if counter.fn is not fn:  # rebinding: count on from here
+            counter.freeze()
+            counter.fn = fn
+        return counter
 
     def gauge(
         self, name: str, fn: Callable[[], float] | None = None

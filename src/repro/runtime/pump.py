@@ -7,17 +7,19 @@ authentic datagram — so both the simulated and the real paths are
 timer-driven through identical code.
 
 The pump is also where one endpoint's instruments join the reactor's
-observability substrate: it bridges the session's crypto counters and the
-sender's pacing counters into the shared registry as deltas, adopts the
-free-standing seal/unseal and frame-interval histograms under
-role-qualified names (``server.crypto.seal_us``, ``client.sender.
-frame_interval_ms``), publishes live SRTT/RTTVAR gauges, and wraps every
-tick in a ``{role}.tick`` span.
+observability substrate: it attaches the endpoint to the reactor's
+pulled fleet counters, registers sourced counters and gauges that read
+the sender and endpoint when a snapshot is taken (nothing is copied per
+tick), adopts the free-standing seal/unseal and frame-interval
+histograms under role-qualified names (``server.crypto.seal_us``,
+``client.sender.frame_interval_ms``), and wraps every tick in a
+``{role}.tick`` span. :meth:`TransportPump.stop` retires the endpoint
+and freezes those instruments, so a closed session can be freed.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from functools import partial
 from typing import Callable
 
 from repro.obs.registry import MetricsRegistry
@@ -44,30 +46,6 @@ PARK_MIN_WAIT_MS = 1000.0
 #: pump synchronously and service resumes. Clients never go dormant;
 #: their heartbeats are what probes the path back.
 DORMANT_AFTER_MS = 10_000.0
-
-#: Sender counters bridged into the registry, attribute -> short name.
-_SENDER_COUNTERS = (
-    ("instructions_sent", "instructions"),
-    ("empty_acks_sent", "empty_acks"),
-    ("piggybacked_acks", "piggybacked_acks"),
-    ("standalone_acks", "standalone_acks"),
-    ("datagrams_sent", "fragments"),
-    ("diff_cache_hits", "diff_cache_hits"),
-    ("diff_cache_misses", "diff_cache_misses"),
-)
-
-#: One-shot readers for the per-tick delta bridges: a prebuilt attrgetter
-#: walks C code instead of a genexpr + getattr per counter per tick.
-_read_sender = attrgetter(*(attr for attr, _ in _SENDER_COUNTERS))
-_read_crypto = attrgetter(
-    "datagrams_sealed",
-    "bytes_sealed",
-    "datagrams_unsealed",
-    "bytes_unsealed",
-    "auth_failures",
-    "replay_drops",
-)
-
 
 def _adopt(registry: MetricsRegistry, instrument, name: str):
     """Register ``instrument`` under ``name``, suffixing on collision.
@@ -120,30 +98,22 @@ class TransportPump:
         if role is None:
             role = "server" if endpoint.is_server else "client"
         self.role = role
-        self._sent_seen = endpoint.datagrams_sent
-        stats = endpoint.session.stats
-        self._crypto_seen = _read_crypto(stats)
-        self._sender_seen = _read_sender(transport.sender)
-        self._wire_observability(reactor, transport, stats)
+        #: Sourced counters and gauges reading this session's objects.
+        self.sourced: list = []
+        self._wire_observability(reactor, transport, endpoint.session.stats)
+        reactor.metrics.attach(endpoint)
         inner = endpoint.on_datagram
-
-        def on_datagram(now: float) -> None:
-            reactor.metrics.datagrams_in += 1
-            if inner is not None:
-                inner(now)
-            self.kick()
 
         def on_datagram_count(now: float, count: int) -> None:
             # Coalesced burst notification from the batched receive path:
             # one transport kick for the whole burst instead of one per
             # datagram (the kick is idempotent work scheduling).
-            reactor.metrics.datagrams_in += count
             if inner is not None:
                 for _ in range(count):
                     inner(now)
             self.kick()
 
-        endpoint.on_datagram = on_datagram
+        endpoint.on_datagram = partial(on_datagram_count, count=1)
         endpoint.on_datagram_count = on_datagram_count
 
     def _wire_observability(self, reactor: Reactor, transport, stats) -> None:
@@ -158,35 +128,44 @@ class TransportPump:
             transport.sender.frame_interval,
             f"{role}.sender.frame_interval_ms",
         )
+        sourced = self.sourced
+
+        def gauge(name: str, fn: Callable[[], float]) -> None:
+            sourced.append(registry.gauge(f"{role}.{name}", fn=fn))
+
         # Live RTT gauges read the estimator at snapshot time, so pacing
         # ticks pay nothing for them.
-        registry.gauge(f"{role}.network.srtt_ms", fn=lambda: endpoint.srtt)
-        registry.gauge(f"{role}.network.rttvar_ms", fn=lambda: endpoint.rttvar)
-        registry.gauge(f"{role}.network.rto_ms", fn=endpoint.rto)
+        gauge("network.srtt_ms", lambda: endpoint.srtt)
+        gauge("network.rttvar_ms", lambda: endpoint.rttvar)
+        gauge("network.rto_ms", endpoint.rto)
         causal = getattr(endpoint, "causal", None)
         if causal is not None:
             # Causal-tracer health: outstanding (stamped, unsettled)
             # chains and retained tail exemplars. The stage histograms
             # register themselves under ``causal.*`` at tracer build.
-            registry.gauge(
-                f"{role}.causal.pending", fn=lambda: causal.pending
-            )
-            registry.gauge(
-                f"{role}.causal.exemplars", fn=lambda: causal.exemplar_count
-            )
+            gauge("causal.pending", lambda: causal.pending)
+            gauge("causal.exemplars", lambda: causal.exemplar_count)
         flight = endpoint.flight
         if flight is not None:
             # Ring occupancy and overwrite count for the wire-level
             # flight recorder, when one is attached to this endpoint.
-            registry.gauge(f"{role}.flight.events", fn=lambda: len(flight))
-            registry.gauge(
-                f"{role}.flight.dropped_events",
-                fn=lambda: flight.dropped_events,
-            )
-        self._sender_counters = tuple(
-            registry.counter(f"{role}.sender.{name}")
-            for _, name in _SENDER_COUNTERS
-        )
+            gauge("flight.events", lambda: len(flight))
+            gauge("flight.dropped_events", lambda: flight.dropped_events)
+        # The sender's pacing counters, likewise read when read.
+        sender = transport.sender
+        for name, attr in (
+            ("instructions", "instructions_sent"),
+            ("empty_acks", "empty_acks_sent"),
+            ("piggybacked_acks", "piggybacked_acks"),
+            ("standalone_acks", "standalone_acks"),
+            ("fragments", "datagrams_sent"),
+            ("diff_cache_hits", "diff_cache_hits"),
+            ("diff_cache_misses", "diff_cache_misses"),
+        ):
+            sourced.append(registry.counter(
+                f"{role}.sender.{name}", fn=partial(getattr, sender, attr)
+            ))
+        self._ticks = registry.counter("reactor.ticks")
         self._tick_span_name = f"{role}.tick"
         # Fleet-wide (unprefixed) park-transition counters. The split
         # between plain wakes and *dormant* wakes is what lets a health
@@ -196,11 +175,6 @@ class TransportPump:
         self._parks = registry.counter("pump.parks")
         self._wakes = registry.counter("pump.wakes")
         self._dormant_wakes = registry.counter("pump.dormant_wakes")
-        # Wire-integrity bridge: framing drops live on the endpoint (it
-        # has no registry in scope); surface them fleet-wide so burn-rate
-        # health rules can alert on tampering without a snapshot walk.
-        self._framing_drops = registry.counter("network.framing_drops")
-        self._framing_seen = endpoint.framing_drops
 
     def kick(self) -> None:
         """Tick the transport now and re-arm from its next deadline."""
@@ -211,43 +185,15 @@ class TransportPump:
             self._timer = None
         reactor = self._reactor
         now = reactor.now()
-        self._transport.tick(now)
+        transport = self._transport
+        transport.tick(now)
         # Fast-path span: ``now`` is already in hand and this runs on
         # every tick, so skip the context-manager machinery.
         reactor.tracer.record_span(self._tick_span_name, now)
-        metrics = reactor.metrics
-        metrics.ticks += 1
-        sent = self._transport.endpoint.datagrams_sent
-        metrics.datagrams_out += sent - self._sent_seen
-        self._sent_seen = sent
-        # Bridge the session's crypto counters as deltas, so several pumps
-        # (or a pump restart) can share one metrics block safely. This runs
-        # every tick, so it stays straight-line attribute math.
-        stats = self._transport.endpoint.session.stats
-        seen = self._crypto_seen
-        crypto = _read_crypto(stats)
-        if crypto != seen:
-            metrics.datagrams_sealed += crypto[0] - seen[0]
-            metrics.bytes_sealed += crypto[1] - seen[1]
-            metrics.datagrams_unsealed += crypto[2] - seen[2]
-            metrics.bytes_unsealed += crypto[3] - seen[3]
-            metrics.auth_failures += crypto[4] - seen[4]
-            metrics.replay_drops += crypto[5] - seen[5]
-            self._crypto_seen = crypto
-        drops = self._transport.endpoint.framing_drops
-        if drops != self._framing_seen:
-            self._framing_drops.inc(drops - self._framing_seen)
-            self._framing_seen = drops
-        # Same delta treatment for the sender's pacing counters.
-        sender = self._transport.sender
-        seen = self._sender_seen
-        fresh = _read_sender(sender)
-        if fresh != seen:
-            for counter, new, old in zip(self._sender_counters, fresh, seen):
-                counter.value += new - old
-            self._sender_seen = fresh
-        wait = self._transport.wait_time(now)
-        endpoint = self._transport.endpoint
+        self._ticks.value += 1
+        wait = transport.wait_time(now)
+        sender = transport.sender
+        endpoint = transport.endpoint
         if self.park_enabled:
             if wait is None:
                 # Deep park: no peer address yet, so nothing can become
@@ -284,11 +230,21 @@ class TransportPump:
 
     def stop(self) -> None:
         """Stop for good (the session was closed): cancel the armed
-        timer and make every later :meth:`kick` a no-op."""
+        timer, make every later :meth:`kick` a no-op, retire the
+        endpoint's counts into the fleet totals, and freeze the sourced
+        instruments so the registry lets go of the session."""
+        if self.stopped:
+            return
         self.stopped = True
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+        self._reactor.metrics.retire(self._transport.endpoint)
+        for instrument in self.sourced:
+            instrument.freeze()
+        # A kick re-entered from a tick can leave an untracked timer
+        # armed, holding this pump until it fires: drop the session.
+        self._transport = None
 
     def suspend(self) -> None:
         """Stop self-scheduling: the endpoint's machine "went to sleep".

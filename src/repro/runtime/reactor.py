@@ -12,7 +12,8 @@ simulated-time and wall-time sessions produce comparable traces.
 counter it exposes is now a thin view over a named registry instrument,
 so ``reactor.metrics.ticks += 1`` and
 ``reactor.registry.counter("reactor.ticks")`` read and write the same
-number.
+number. The datagram and crypto counters are pulled: they sum the
+attached endpoints' own counts when read.
 
 Session cores (:mod:`repro.session.core`) are written against the abstract
 :class:`Reactor` only; whether time is simulated or real is decided by the
@@ -23,9 +24,12 @@ from __future__ import annotations
 
 import select
 from abc import ABC, abstractmethod
+from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from repro.clock import Clock, RealClock
+from repro.crypto.session import CryptoStats
 from repro.errors import ReactorError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanTracer
@@ -43,13 +47,14 @@ class ReactorMetrics:
     callers (``metrics.ticks += 1``, dashboards reading
     ``metrics.auth_failures``) keep working while every value also
     appears in ``registry.snapshot()`` under its qualified name.
+
+    The :data:`PULLED` counters are read-only fleet sums: each reads
+    every endpoint a pump attached, plus the final counts of endpoints
+    retired when their sessions closed. Exact whenever read, they never
+    fall and cost the tick path nothing.
     """
 
-    #: attribute -> registry counter name. Crypto counters are bridged
-    #: from the endpoint's session by the pump: datagrams/payload bytes
-    #: sealed (sent) and unsealed (received), inbound datagrams dropped
-    #: for failing tag verification, and authentic-but-replayed datagrams
-    #: dropped by the replay window.
+    #: attribute -> registry counter name.
     COUNTERS = {
         "ticks": "reactor.ticks",
         "datagrams_in": "reactor.datagrams_in",
@@ -64,17 +69,48 @@ class ReactorMetrics:
         "bytes_unsealed": "crypto.bytes_unsealed",
         "auth_failures": "crypto.auth_failures",
         "replay_drops": "crypto.replay_drops",
+        "framing_drops": "network.framing_drops",
+    }
+
+    #: Pulled attribute -> reader of the endpoint count it sums:
+    #: authentic datagrams in, sealed datagrams out, the session's crypto
+    #: counts (tag failures and replay-window drops among them), and
+    #: datagrams dropped before decryption for bad mux framing.
+    PULLED = {
+        "datagrams_in": attrgetter("datagrams_received"),
+        "datagrams_out": attrgetter("datagrams_sent"),
+        **{n: attrgetter(f"session.stats.{n}") for n in CryptoStats.COUNTER_NAMES},
+        "framing_drops": attrgetter("framing_drops"),
     }
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        #: Final counts of the endpoints retired so far.
+        self._retired = dict.fromkeys(self.PULLED, 0)
+        self._live: dict = {}  # attached endpoints, as an ordered set
         self._counters = {
-            attr: self.registry.counter(name)
+            attr: self.registry.counter(
+                name, fn=partial(self._pulled, attr) if attr in self.PULLED else None
+            )
             for attr, name in self.COUNTERS.items()
         }
         #: Lateness of timer callbacks (fire time minus scheduled time).
         self.timer_lag = self.registry.histogram("reactor.timer_lag_ms")
         self._timers_fired = self._counters["timers_fired"]
+
+    def _pulled(self, attr: str) -> int:
+        return self._retired[attr] + sum(map(self.PULLED[attr], self._live))
+
+    def attach(self, endpoint) -> None:
+        """Count ``endpoint`` (once, however many pumps attach it)."""
+        self._live[endpoint] = None
+
+    def retire(self, endpoint) -> None:
+        """Fold ``endpoint``'s final counts into the retired totals."""
+        if endpoint in self._live:
+            del self._live[endpoint]
+            for attr, read in self.PULLED.items():
+                self._retired[attr] += read(endpoint)
 
     @property
     def timer_lag_avg_ms(self) -> float:
@@ -98,21 +134,10 @@ class ReactorMetrics:
         ``registry.snapshot()`` is the full structured document; this
         keeps the original key set (plus ``replay_drops``) stable.
         """
-        out: dict[str, float] = {}
-        for attr in (
-            "ticks", "datagrams_in", "datagrams_out",
-            "timers_fired", "timers_cancelled",
-        ):
-            out[attr] = self._counters[attr].value
+        out = {attr: counter.value for attr, counter in self._counters.items()}
+        del out["framing_drops"]
         out["timer_lag_avg_ms"] = round(self.timer_lag_avg_ms, 3)
         out["timer_lag_max_ms"] = round(self.timer_lag_max_ms, 3)
-        for attr in (
-            "io_events", "frames_rendered",
-            "datagrams_sealed", "bytes_sealed",
-            "datagrams_unsealed", "bytes_unsealed",
-            "auth_failures", "replay_drops",
-        ):
-            out[attr] = self._counters[attr].value
         return out
 
 
@@ -123,7 +148,7 @@ def _counter_view(attr: str) -> property:
     def _set(self: ReactorMetrics, value: float) -> None:
         self._counters[attr].value = value
 
-    return property(_get, _set)
+    return property(_get, None if attr in ReactorMetrics.PULLED else _set)
 
 
 for _attr in ReactorMetrics.COUNTERS:
@@ -166,6 +191,9 @@ class TimerHandle:
         if not self.active:
             return
         self.cancelled = True
+        # The queue keeps the entry until its deadline: let go of the
+        # callback's owner (a closed session's pump, say) now.
+        self._callback = None
         self._reactor._cancel(self._token)
 
 

@@ -146,8 +146,8 @@ class InProcessSession:
         """Publish both simnet links into the shared registry.
 
         Queue depth is a live callable gauge (read at snapshot time);
-        the drop/delivery counts are gauges too because the links keep
-        their own counters and there is no tick site to bridge deltas.
+        the drop/delivery counts are callable gauges too, a kind the
+        snapshot has always given them.
         """
         registry = self.reactor.registry
         for name, link in (("uplink", self.network.uplink),

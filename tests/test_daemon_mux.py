@@ -623,6 +623,29 @@ class TestDaemonRealUdp:
                 os.close(read_fd)
                 os.close(write_fd)
 
+    def test_exit_report_counts_closed_sessions(self, capsys):
+        """The integrity report printed at exit, after every session is
+        closed, still counts a forged datagram."""
+        import socket
+
+        from repro.daemon.app import DaemonApp
+        from repro.network.packet import encode_conn_id
+
+        app = DaemonApp(argv=["/bin/sh"], bind_host="127.0.0.1", sessions=2)
+        record = app.manager.records()[0]
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.sendto(
+                encode_conn_id(record.conn_id) + bytes(40),
+                ("127.0.0.1", app.port),
+            )
+        # No client ever connects, so run() serves until the idle exit,
+        # closes every session and prints the report.
+        app.run(idle_exit_ms=300.0)
+        assert record.session.stats.auth_failures == 1
+        assert not app.manager.records()
+        report = capsys.readouterr().err
+        assert "1 auth failures, 0 replay drops across 2 sessions" in report
+
     def test_daemon_connect_lines_and_spawn(self):
         from repro.app.bootstrap import parse_connect_line_ex
         from repro.daemon.app import DaemonApp

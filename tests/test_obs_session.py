@@ -194,7 +194,7 @@ class TestReplayWindow:
         receiver.decrypt(wire)
         with pytest.raises(ReplayError):
             receiver.decrypt(wire)
-        session.server.kick()  # the pump bridges stats deltas on tick
+        # No tick needed: the registry reads the session's stats.
         assert session.reactor.metrics.replay_drops == 1
         doc = session.metrics_snapshot()
         assert doc["counters"]["crypto.replay_drops"] == 1
@@ -214,6 +214,5 @@ class TestTamperInjection:
 
         with pytest.raises(AuthenticationError):
             receiver.decrypt(bytes(wire))
-        session.server.kick()
         assert session.reactor.metrics.auth_failures == 1
         assert session.metrics_snapshot()["counters"]["crypto.auth_failures"] == 1

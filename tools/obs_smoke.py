@@ -21,7 +21,9 @@ over a lossy link, then:
   lifecycle appears in the trace, and
 * stands up a session daemon with 8 concurrent clients muxed on one
   simulated port and validates the per-session (labelled) metrics
-  snapshot (``--daemon-metrics``), and
+  snapshot (``--daemon-metrics``); then closes 4 of the sessions and
+  checks that no counter vanished or fell and that the crypto counters
+  still equal the sum over all 8 sessions' own stats, and
 * drives a live 4-session daemon with per-keystroke causal tracing on:
   every client's stage partition must sum to its end-to-end echo
   latency, the fleet-pooled stage histograms must account for every
@@ -246,6 +248,51 @@ def daemon_stage(args) -> list[str]:
         f"  daemon: 8 sessions on one port, "
         f"{int(counters.get('daemon.datagrams_routed', 0))} datagrams routed "
         f"-> {args.daemon_metrics}"
+    )
+    failures.extend(_daemon_close_checks(daemon, counters))
+    return failures
+
+
+def _daemon_close_checks(daemon, counters: dict) -> list[str]:
+    """Closing half the fleet must not lose or shrink any counter.
+
+    The crypto counters must still equal the sum over every session's
+    own stats, both sides, closed ones included.
+    """
+    failures: list[str] = []
+    stats = [
+        endpoint.session.stats
+        for cid in daemon.conn_ids
+        for endpoint in (
+            daemon.record(cid).endpoint,
+            daemon.client(cid).transport.endpoint,
+        )
+    ]
+    for cid in daemon.conn_ids[:4]:
+        daemon.manager.close(cid)
+    for cid in daemon.conn_ids:
+        daemon.client(cid).type_bytes(b"x")
+    daemon.run_for(2000.0)
+    after = daemon.metrics_snapshot()["counters"]
+    if set(after) != set(counters):
+        failures.append(
+            "closing sessions changed the counter key set: "
+            f"{sorted(set(after) ^ set(counters))}"
+        )
+    fell = [name for name in counters if after.get(name, 0) < counters[name]]
+    if fell:
+        failures.append(f"counters fell when sessions closed: {fell}")
+    for name in ("datagrams_sealed", "datagrams_unsealed"):
+        total = sum(getattr(s, name) for s in stats)
+        if after.get(f"crypto.{name}") != total:
+            failures.append(
+                f"crypto.{name} = {after.get(f'crypto.{name}')} after 4 of "
+                f"8 sessions closed, but the sessions' stats sum to {total}"
+            )
+    print(
+        "  daemon close: 4 of 8 sessions closed, "
+        f"{after.get('crypto.datagrams_sealed', 0)} datagrams sealed "
+        "still accounted for"
     )
     return failures
 
