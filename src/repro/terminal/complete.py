@@ -28,7 +28,6 @@ from repro.errors import StateError
 from repro.terminal.display import Display
 from repro.terminal.emulator import Emulator
 from repro.terminal.framebuffer import Framebuffer
-from repro.terminal.parser import Parser
 from repro.transport.state import StateObject
 
 #: "A server-side timeout of 50 ms, chosen to contain the vast majority of
@@ -127,13 +126,7 @@ class Complete(StateObject):
         """Snapshot this state (fresh parser; history stays with the live
         terminal). O(height) — rows are shared copy-on-write."""
         dup = Complete.__new__(Complete)
-        dup._emulator = Emulator.__new__(Emulator)
-        dup._emulator.fb = self.fb.copy()
-        dup._emulator._parser = Parser()  # fresh parser: diffs are
-        dup._emulator.outbox = bytearray()  # whole sequences, never split
-        dup._emulator._g0 = self._emulator._g0
-        dup._emulator._g1 = self._emulator._g1
-        dup._emulator._shift = self._emulator._shift
+        dup._emulator = self._emulator.copy()
         dup.echo_ack = self.echo_ack
         dup._input_log = deque()  # bookkeeping stays with the original
         dup._version = self._version

@@ -188,7 +188,6 @@ class Display:
         # Trim leading/trailing cells that are nothing to draw? No: caller
         # chose the span; render everything given.
         out += Display._cup(row_idx, start_col)
-        col = start_col
         i = 0
         n = len(cells)
         while i < n:
@@ -198,42 +197,52 @@ class Display:
                 # are consumed by their leader), but stay aligned anyway.
                 out += b"\x1b[1C"
                 i += 1
-                col += 1
                 continue
+            rend = cell.renditions
             if Display._is_erase_cell(cell):
-                # Group a run of erase-form cells into one ECH.
-                j = i
-                bg = cell.renditions.background
-                while (
-                    j < n
-                    and Display._is_erase_cell(cells[j])
-                    and cells[j].renditions.background == bg
-                ):
+                # Group a run of erase-form cells into one ECH. Erase form
+                # is fixed by the background, so the run shares ``rend``.
+                j = i + 1
+                while j < n:
+                    other = cells[j]
+                    if (
+                        other.contents != ""
+                        or other.width != 1
+                        or (other.renditions is not rend
+                            and other.renditions != rend)
+                    ):
+                        break
                     j += 1
                 run = j - i
-                Display._set_pen(out, pen_state, cell.renditions)
+                Display._set_pen(out, pen_state, rend)
                 out += f"\x1b[{run}X".encode("ascii")
-                col += run
                 i = j
                 if i < n:
                     out += f"\x1b[{run}C".encode("ascii")  # hop over
                 continue
-            Display._set_pen(out, pen_state, cell.renditions)
-            out += cell.display_text().encode("utf-8")
-            col += cell.width
-            i += cell.width  # skip continuation inside our slice
-        del col  # cursor position is re-established by the next CUP
+            # Print a stretch of same-rendition cells with one pen change.
+            text = []
+            while i < n:
+                other = cells[i]
+                if other.width == 0 or (
+                    other.renditions is not rend and other.renditions != rend
+                ):
+                    break
+                if other.contents == "" and Display._is_erase_cell(other):
+                    break
+                text.append(other.contents or " ")
+                i += other.width  # skip continuation inside our slice
+            Display._set_pen(out, pen_state, rend)
+            out += "".join(text).encode("utf-8")
 
     @staticmethod
     def _is_erase_cell(cell: Cell) -> bool:
-        return (
-            cell.contents == ""
-            and cell.width == 1
-            and cell.renditions
-            == DEFAULT_RENDITIONS.with_attr(
-                background=cell.renditions.background
-            )
-        )
+        """Whether ``cell`` is what an erase leaves: blank, with default
+        attributes over any background (BCE)."""
+        if cell.contents != "" or cell.width != 1:
+            return False
+        r = cell.renditions
+        return r is DEFAULT_RENDITIONS or r == Renditions(background=r.background)
 
     # ------------------------------------------------------------------
     # Modes, cursor, title

@@ -11,6 +11,8 @@ write back.
 
 from __future__ import annotations
 
+import re
+
 from repro.terminal import charsets
 from repro.terminal.cell import Cell
 from repro.terminal.framebuffer import Framebuffer
@@ -25,10 +27,18 @@ from repro.terminal.parser import (
 from repro.terminal.renditions import (
     COLOR_DEFAULT,
     DEFAULT_RENDITIONS,
+    Renditions,
     indexed_color,
     rgb_color,
 )
 from repro.terminal.unicode_width import char_width, is_combining
+
+#: Characters the run path writes directly: width 1, never combining, and
+#: unchanged by the ASCII charset. ``char_width`` is 1 for all of them.
+_NARROW_RUN = re.compile("[\x20-\x7e\xa0-\u02ff]+")
+
+#: Pens the run path keeps cells for; one more starts the cache over.
+_CELL_CACHE_PENS = 16
 
 
 class Emulator:
@@ -43,6 +53,27 @@ class Emulator:
         self._g1 = charsets.CHARSET_ASCII
         self._shift = 0  # 0 = G0 active, 1 = G1 active
         self._last_graphic = ""  # for REP (CSI b)
+        # Cells the run path has built, by pen and then by character: at
+        # most _CELL_CACHE_PENS pens of one cell per character _NARROW_RUN
+        # admits (703). Cells are immutable, so rows share them.
+        self._cells: dict[Renditions, dict[str, Cell]] = {}
+
+    def copy(self) -> "Emulator":
+        """A snapshot sharing framebuffer rows copy-on-write.
+
+        The copy gets a fresh parser and an empty outbox: a snapshot never
+        holds half a sequence or an unread reply.
+        """
+        dup = Emulator.__new__(Emulator)
+        dup.fb = self.fb.copy()
+        dup._parser = Parser()
+        dup.outbox = bytearray()
+        dup._g0 = self._g0
+        dup._g1 = self._g1
+        dup._shift = self._shift
+        dup._last_graphic = self._last_graphic
+        dup._cells = self._cells  # a memo of immutable cells: share it
+        return dup
 
     # ------------------------------------------------------------------
 
@@ -50,7 +81,7 @@ class Emulator:
         """Interpret a chunk of host output."""
         for action in self._parser.input(data):
             if isinstance(action, Print):
-                self._print(action.char)
+                self._print_run(action.text)
             elif isinstance(action, Execute):
                 self._execute(action.byte)
             elif isinstance(action, CsiDispatch):
@@ -73,6 +104,81 @@ class Emulator:
     # ------------------------------------------------------------------
     # Printing
     # ------------------------------------------------------------------
+
+    def _print_run(self, text: str) -> None:
+        """Print ``text``; the same state as ``_print`` on each character.
+
+        Under the ASCII charset, with insert mode off and autowrap on,
+        each stretch of narrow characters goes to :meth:`_print_narrow`.
+        Everything else takes the per-character path.
+        """
+        fb = self.fb
+        if (
+            (self._g1 if self._shift else self._g0) != charsets.CHARSET_ASCII
+            or fb.insert_mode
+            or not fb.wraparound
+        ):
+            for ch in text:
+                self._print(ch)
+            return
+        if _NARROW_RUN.fullmatch(text):  # the usual case: one stretch
+            self._print_narrow(text)
+            return
+        pos = 0
+        for narrow in _NARROW_RUN.finditer(text):
+            for ch in text[pos : narrow.start()]:
+                self._print(ch)
+            self._print_narrow(narrow.group())
+            pos = narrow.end()
+        for ch in text[pos:]:
+            self._print(ch)
+
+    def _print_narrow(self, text: str) -> None:
+        """Write narrow ``text`` one row chunk at a time: one slice
+        assignment per chunk, the wide-character repair only at the
+        chunk's two edges."""
+        fb = self.fb
+        pen = fb.pen
+        cells = self._cells.get(pen)
+        if cells is None:
+            if len(self._cells) >= _CELL_CACHE_PENS:
+                self._cells.clear()
+            cells = self._cells[pen] = {}
+        try:
+            line = list(map(cells.__getitem__, text))
+        except KeyError:
+            for ch in set(text).difference(cells):
+                cells[ch] = Cell(contents=ch, width=1, renditions=pen)
+            line = list(map(cells.__getitem__, text))
+        width = fb.width
+        pos = 0
+        end = len(text)
+        while pos < end:
+            if fb.next_print_wraps:
+                row = fb.writable_row(fb.cursor_row)
+                row.wrap = True
+                row.touch()
+                fb.cursor_col = 0
+                self._line_feed()
+            col = fb.cursor_col
+            take = min(end - pos, width - col)
+            row = fb.writable_row(fb.cursor_row)
+            # Repair wide characters the chunk cuts into, judged on the
+            # old contents: at the left edge, and at the right edge (a
+            # wide leader there loses its continuation past the chunk).
+            if row.cells[col].width != 1:
+                self._clear_wide_overlap(fb.cursor_row, col)
+            if take > 1 and row.cells[col + take - 1].width != 1:
+                self._clear_wide_overlap(fb.cursor_row, col + take - 1)
+            row.cells[col : col + take] = line[pos : pos + take]
+            row.touch()
+            pos += take
+            if col + take >= width:
+                fb.cursor_col = width - 1
+                fb.next_print_wraps = True
+            else:
+                fb.cursor_col = col + take
+        self._last_graphic = text[-1]
 
     def _print(self, ch: str) -> None:
         fb = self.fb
@@ -383,8 +489,9 @@ class Emulator:
                 self._back_tab()
         elif final == "b":  # REP: repeat the preceding graphic character
             if self._last_graphic:
-                for _ in range(min(n, fb.width * fb.height)):
-                    self._print(self._last_graphic)
+                self._print_run(
+                    self._last_graphic * min(n, fb.width * fb.height)
+                )
         elif final == "d":  # VPA
             row = min(max(a.param(0, 1) - 1, 0), fb.height - 1)
             fb.cursor_row = row

@@ -2,24 +2,34 @@
 
 A port of the classic VT500-series state machine (the same design Mosh,
 xterm, and libvterm use): bytes are first decoded from UTF-8 incrementally,
-then walked through states that emit actions — print a character, execute a
-C0 control, or dispatch an ESC / CSI / OSC sequence. Malformed input never
-raises; unrecognized sequences are consumed and ignored, which is what real
-terminals do.
+then walked through states that emit actions — print a run of characters,
+execute a C0 control, or dispatch an ESC / CSI / OSC sequence. Malformed
+input never raises; unrecognized sequences are consumed and ignored, which
+is what real terminals do.
+
+In ground state one precompiled regex finds the next C0 control or DEL,
+and the characters before it are emitted as one ``Print`` run; every other
+character walks the state machine one at a time. A chunk boundary (or a
+dropped DEL, CAN or SUB) can split a run, so consumers must treat adjacent
+``Print`` actions exactly like their concatenation.
 """
 
 from __future__ import annotations
 
 import codecs
+import re
 from dataclasses import dataclass
 
 _MAX_PARAMS = 32
 _MAX_OSC = 4096
 
+#: The characters that end a printable run: C0 controls and DEL.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+
 
 @dataclass(frozen=True)
 class Print:
-    char: str
+    text: str
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,23 @@ class Parser:
     def input(self, data: bytes) -> list[Action]:
         """Parse a chunk of host output (may end mid-sequence)."""
         actions: list[Action] = []
-        for ch in self._decoder.decode(data):
-            self._consume(ch, actions)
+        text = self._decoder.decode(data)
+        find_control = _CONTROL.search
+        pos = 0
+        end = len(text)
+        while pos < end:
+            if self._state == _GROUND:
+                # Print everything up to the next control as one run.
+                control = find_control(text, pos)
+                if control is None:
+                    actions.append(Print(text[pos:]))
+                    break
+                stop = control.start()
+                if stop > pos:
+                    actions.append(Print(text[pos:stop]))
+                    pos = stop
+            self._consume(text[pos], actions)
+            pos += 1
         return actions
 
     # ------------------------------------------------------------------
@@ -125,13 +150,11 @@ class Parser:
             out.append(Execute(code))
             return
         if code == 0x7F:
-            if state == _GROUND:
-                return  # DEL is ignored
-            return
+            return  # DEL is ignored
 
-        if state == _GROUND:
-            out.append(Print(ch))
-        elif state == _ESCAPE:
+        # A printable character in ground state never gets here: input()
+        # takes those as runs.
+        if state == _ESCAPE:
             self._in_escape(ch, code, out)
         elif state == _ESCAPE_INTERMEDIATE:
             if 0x20 <= code <= 0x2F:
@@ -193,7 +216,7 @@ class Parser:
         if 0x3C <= code <= 0x3F:  # < = > ?
             self._private = ch
             self._state = _CSI_PARAM
-        elif ch.isdigit() or ch in ";:":
+        elif 0x30 <= code <= 0x39 or ch in ";:":
             self._state = _CSI_PARAM
             self._in_csi_param(ch, code, out)
         elif 0x20 <= code <= 0x2F:
@@ -205,7 +228,9 @@ class Parser:
             self._state = _CSI_IGNORE
 
     def _in_csi_param(self, ch: str, code: int, out: list[Action]) -> None:
-        if ch.isdigit():
+        # Only ASCII digits: str.isdigit() also accepts "²", which int()
+        # rejects; other non-ASCII input falls through to _CSI_IGNORE.
+        if 0x30 <= code <= 0x39:
             self._param_digits += ch
         elif ch == ";" or ch == ":":
             # Colon sub-parameters (SGR 38:5:n) are flattened, which the

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StateError
 from repro.terminal.complete import ECHO_TIMEOUT_MS, Complete
+from repro.terminal.emulator import Emulator
 
 
 class TestStateObject:
@@ -27,6 +28,15 @@ class TestStateObject:
         b.act(b"changed")
         assert a != b
         assert a.fb.screen_text().strip() == ""
+
+    def test_copy_carries_every_emulator_field(self):
+        a = Complete(80, 24)
+        a.copy().act(b"\x1b[3b")  # REP with nothing printed yet: a no-op
+        a.act(b"x")
+        b = a.copy()
+        b.act(b"\x1b[3b")
+        assert b.fb.row_text(0).rstrip() == "xxxx"
+        assert set(vars(b.emulator)) == set(vars(Emulator()))
 
     def test_equality_includes_echo_ack(self):
         a = Complete(10, 3)

@@ -1,5 +1,6 @@
 """Display diff: the round-trip invariant, minimality, fuzzing."""
 
+import hashlib
 import random
 
 import pytest
@@ -206,3 +207,54 @@ class TestMinimality:
         incremental = Display.new_frame(old, a.fb)
         repaint = Display.new_frame(None, a.fb)
         assert len(incremental) < len(repaint) / 10
+
+
+#: Host output whose frames reach every branch of the row renderer: BCE
+#: erase runs (with and without a hop over them), pen changes mid-run,
+#: wide, combining and DEC-graphics cells, soft wrap, and a scroll.
+GOLDEN_STEPS = [
+    b"plain text\r\n\x1b[1;31mred bold\x1b[0m then \x1b[4munder\x1b[24m done",
+    b"\x1b[44m\x1b[3;1H\x1b[2Kbce\x1b[K\x1b[0m",
+    "\x1b[4;1Hwide 中文 and é combining".encode(),
+    b"\x1b[5;1H\x1b(0lqqk\x1b(B \x0e x \x0f|",
+    b"\x1b[6;1H" + b"w" * 45,
+    b"\x1b[2;5Hab\x1b[32mcd\x1b[42mef\x1b[0m  \x1b[45m   \x1b[0mgh",
+    b"\x1b[8;1H\x1b[41m\x1b[5X\x1b[10C\x1b[0mtail\x1b[46m\x1b[3X",
+    b"\x1b[1;3H\x1b[7mXY\x1b[27m\x1b[2;1H\x1b[1K",
+    b"\x1b[10;1H\r\n\r\n\r\nafter scroll",
+]
+
+#: SHA-256 of every diff in ``TestGoldenBytes``, taken with the
+#: per-cell renderer the run renderer replaced; any change to the bytes
+#: the renderer emits for this corpus changes it.
+GOLDEN_SHA256 = (
+    "c8000de0431ae4af7b223a627829e6fe50bd1795f1e85e4de0a71fa8885f61f1"
+)
+
+
+class TestGoldenBytes:
+    def _frames(self):
+        """Incremental and repaint diffs over the corpus, plus a frame
+        with cells the emulator never makes (a stray continuation, a
+        blank cell with a non-erase pen)."""
+        from repro.terminal.cell import Cell
+        from repro.terminal.renditions import DEFAULT_RENDITIONS
+
+        e = Emulator(40, 10)
+        old = e.fb.copy()
+        for step in GOLDEN_STEPS:
+            e.write(step)
+            yield Display.new_frame(old, e.fb)
+            yield Display.new_frame(None, e.fb)
+            old = e.fb.copy()
+        underlined = DEFAULT_RENDITIONS.with_attr(underlined=True)
+        e.fb.set_cell(0, 12, Cell(contents="", width=0))
+        e.fb.set_cell(0, 13, Cell(contents="", renditions=underlined))
+        yield Display.new_frame(old, e.fb)
+        yield Display.new_frame(None, e.fb)
+
+    def test_diff_bytes_pinned(self):
+        digest = hashlib.sha256()
+        for frame in self._frames():
+            digest.update(len(frame).to_bytes(4, "big") + frame)
+        assert digest.hexdigest() == GOLDEN_SHA256

@@ -17,14 +17,25 @@ def parse(data: bytes):
     return Parser().input(data)
 
 
+def merge_prints(actions):
+    """``actions`` with every stretch of adjacent Prints joined into one."""
+    merged = []
+    for action in actions:
+        if isinstance(action, Print) and merged and isinstance(merged[-1], Print):
+            merged[-1] = Print(merged[-1].text + action.text)
+        else:
+            merged.append(action)
+    return merged
+
+
 class TestPrinting:
     def test_ascii(self):
         actions = parse(b"hi")
-        assert actions == [Print("h"), Print("i")]
+        assert actions == [Print("hi")]
 
     def test_utf8_multibyte(self):
         actions = parse("héllo".encode("utf-8"))
-        assert actions[1] == Print("é")
+        assert actions == [Print("héllo")]
 
     def test_utf8_split_across_feeds(self):
         parser = Parser()
@@ -38,6 +49,16 @@ class TestPrinting:
 
     def test_del_ignored(self):
         assert parse(b"\x7f") == []
+
+    def test_run_stops_at_controls(self):
+        actions = parse("ab\x7fcd\r\x1b[1me\x9bf".encode())
+        assert actions == [
+            Print("ab"),
+            Print("cd"),
+            Execute(0x0D),
+            CsiDispatch("", (1,), "", "m"),
+            Print("e\x9bf"),  # C1 characters print (the emulator drops them)
+        ]
 
 
 class TestControls:
@@ -115,6 +136,11 @@ class TestCsi:
         (action,) = parse(data)
         assert len(action.params) <= 32
 
+    def test_non_ascii_digits_ignored(self):
+        # "²".isdigit() is true but int("²") raises: only 0-9 are digits.
+        assert parse("\x1b[²mX".encode()) == [Print("X")]
+        assert parse("\x1b[1;¹HY".encode()) == [Print("Y")]
+
     def test_csi_ignore_on_bad_byte(self):
         # '?' after params is invalid -> sequence consumed, nothing emitted
         actions = parse(b"\x1b[12?mX")
@@ -141,7 +167,7 @@ class TestOsc:
 class TestStringIgnore:
     def test_dcs_ignored(self):
         actions = parse(b"\x1bPsome dcs junk\x1b\\after")
-        assert actions == [Print(c) for c in "after"]
+        assert actions == [Print("after")]
 
     def test_apc_ignored(self):
         actions = parse(b"\x1b_payload\x1b\\X")
@@ -157,11 +183,12 @@ class TestRobustness:
     @settings(max_examples=50, deadline=None)
     @given(st.binary(max_size=200), st.integers(1, 10))
     def test_chunking_invariant(self, data, chunks):
-        """Feeding byte-by-byte gives the same actions as all at once."""
+        """Feeding in chunks gives the same actions as all at once, once
+        the Print runs a chunk boundary splits are joined back."""
         whole = Parser().input(data)
         parser = Parser()
         split = []
         size = max(1, len(data) // chunks)
         for i in range(0, len(data), size):
             split.extend(parser.input(data[i : i + size]))
-        assert whole == split
+        assert merge_prints(whole) == merge_prints(split)
